@@ -58,7 +58,7 @@ from .reliability import (
     sub_test_scores,
     true_score_geometry,
 )
-from .simulate import GENERATOR_ID, SimModel, generate, scaling_suite
+from .simulate import GENERATOR_ID, SimModel, generate
 from .splitter import (
     Assignment,
     SplitResult,
@@ -147,5 +147,4 @@ __all__ = [
     "SimModel",
     "GENERATOR_ID",
     "generate",
-    "scaling_suite",
 ]

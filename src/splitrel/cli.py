@@ -18,8 +18,9 @@ import hashlib
 import json
 import math
 import sys
-from dataclasses import dataclass, field
+import time
 from importlib import resources
+from typing import NamedTuple
 
 import numpy as np
 
@@ -36,42 +37,30 @@ from .battery import (
 )
 from .data_model import (
     ExamineeScores,
+    ScoreMatrix,
+    TestStats,
     descriptive_stats,
     load_score_matrix,
     write_score_matrix,
 )
-from .errors import RangeError, ToolkitError
-from .reliability import classical_reliability, sub_test_scores, true_score_geometry
-from .simulate import SimModel, generate, scaling_suite
-from .splitter import split
+from .errors import RangeError, TooSmall, ToolkitError
+from .reliability import (
+    ReliabilityReport,
+    SubTestScores,
+    classical_reliability,
+    sub_test_scores,
+    true_score_geometry,
+)
+from .simulate import SimModel, generate
+from .splitter import SplitResult, split
 from .truescore import compare_estimators, estimate_true_scores, percentile_rank
 
-__all__ = ["RunConfig", "run", "main", "load_schema"]
+__all__ = ["Analysis", "analyze", "scaling_suite", "main", "load_schema"]
 
 _WEIGHT_METHODS = ("optimal", "nonneg", "eigen-cov", "eigen-corr", "equal")
 
-
-@dataclass(frozen=True)
-class RunConfig:
-    """Everything one invocation needs, already validated by the parser."""
-
-    command: str
-    inputs: tuple[str, ...] = ()
-    output: str | None = None
-    fmt: str = "json"
-    criterion: str = "abs_S"
-    reliability_kind: str = "classical"
-    seed: int = 0
-    bin_width: int = 1
-    max_iter: int | None = None
-    policy: str = "single"
-    has_header: bool = False
-    weights_method: str = "optimal"
-    model: str = "D3"
-    N: int = 0
-    n: int = 0
-    sizes: tuple[tuple[int, int], ...] = ()
-    percentile_of: float | None = None
+# namespace entries that are not analysis parameters of the envelope
+_NOT_PARAMETERS = frozenset({"command", "handler", "input", "inputs", "output", "fmt"})
 
 
 class _Parser(argparse.ArgumentParser):
@@ -84,6 +73,68 @@ class _Parser(argparse.ArgumentParser):
 
 class _UsageError(ToolkitError):
     exit_code = 1
+
+
+class Analysis(NamedTuple):
+    """One split matrix carried through half scores, stats and the report."""
+
+    split: SplitResult
+    scores: SubTestScores
+    stats: TestStats
+    report: ReliabilityReport
+
+
+def analyze(m: ScoreMatrix, result: SplitResult) -> Analysis:
+    """Half scores, reduced-test stats and the classical report of a split of ``m``.
+
+    The stats describe the reduced test: a dropped odd item is in
+    neither half, so it does not count towards n.
+    """
+    scores = sub_test_scores(m, result.assignment)
+    reduced_n = m.n_items - (result.assignment.dropped_item is not None)
+    stats = descriptive_stats(ExamineeScores(scores.combined()), reduced_n)
+    return Analysis(result, scores, stats, classical_reliability(scores, stats))
+
+
+def scaling_suite(
+    sizes: list[tuple[int, int]],
+    model_kind: str,
+    seed: int,
+) -> list[dict]:
+    """Generate, split and score a matrix at each size; tabulate timings.
+
+    Per-size seeds are derived from the master seed through a seed
+    sequence, so adding or reordering sizes changes nothing about what
+    any given position produces.  Each row reports the size, the derived
+    seed, the split wall-clock, the total wall-clock, the achieved
+    abs_S, and the classical reliability.
+    """
+    if not sizes:
+        raise TooSmall("scaling suite needs at least one (N, n) size")
+    child_seeds = np.random.SeedSequence(seed).generate_state(len(sizes), dtype=np.uint64)
+    rows = []
+    for (n_examinees, n_items), child in zip(sizes, child_seeds):
+        model = SimModel(kind=model_kind, N=n_examinees, n=n_items, seed=int(child))
+        started = time.perf_counter()
+        m = generate(model)
+        split_started = time.perf_counter()
+        result = split(m)
+        split_seconds = time.perf_counter() - split_started
+        analysis = analyze(m, result)
+        total_seconds = time.perf_counter() - started
+        rows.append(
+            {
+                "N": n_examinees,
+                "n": n_items,
+                "seed": int(child),
+                "split_seconds": split_seconds,
+                "total_seconds": total_seconds,
+                "abs_S": result.abs_S,
+                "iterations": result.iterations,
+                "r_tt": analysis.report.r_tt,
+            }
+        )
+    return rows
 
 
 def _json_safe(obj):
@@ -111,13 +162,15 @@ def _sha256(path: str) -> str:
     return digest.hexdigest()
 
 
-def _envelope(config: RunConfig, parameters: dict, report: dict) -> dict:
+def _envelope(args: argparse.Namespace, report: dict) -> dict:
+    options = vars(args)
+    paths = options.get("inputs", [options["input"]] if "input" in options else [])
     return {
         "tool": "splitrel",
         "version": __version__,
-        "command": config.command,
-        "parameters": parameters,
-        "inputs": {path: _sha256(path) for path in config.inputs},
+        "command": args.command,
+        "parameters": {k: v for k, v in options.items() if k not in _NOT_PARAMETERS},
+        "inputs": {path: _sha256(path) for path in paths},
         "report": report,
     }
 
@@ -128,6 +181,12 @@ def _emit(text: str, output: str | None) -> None:
     else:
         with open(output, "w", encoding="utf-8", newline="") as fh:
             fh.write(text)
+
+
+def _emit_csv(columns: list[str], rows: list[dict], output: str | None) -> None:
+    lines = [",".join(columns)]
+    lines += [",".join(str(row[c]) for c in columns) for row in rows]
+    _emit("\n".join(lines) + "\n", output)
 
 
 def _dump(envelope: dict, output: str | None) -> None:
@@ -141,15 +200,9 @@ def load_schema() -> dict:
     return json.loads(text)
 
 
-def _analyze(path: str, config: RunConfig):
-    """Shared pipeline: load, split, half scores, reduced-test stats, report."""
-    m = load_score_matrix(path, has_header=config.has_header)
-    result = split(m, config.criterion, max_iter=config.max_iter, policy=config.policy)
-    scores = sub_test_scores(m, result.assignment)
-    reduced_n = m.n_items - (result.assignment.dropped_item is not None)
-    stats = descriptive_stats(ExamineeScores(scores.combined()), reduced_n)
-    report = classical_reliability(scores, stats)
-    return m, result, scores, stats, report
+def _load_and_split(path: str, args: argparse.Namespace) -> tuple[ScoreMatrix, SplitResult]:
+    m = load_score_matrix(path, has_header=args.has_header)
+    return m, split(m, args.criterion, max_iter=args.max_iter, policy=args.policy)
 
 
 def _histogram(values: np.ndarray, capacity: int, width: int) -> list[int]:
@@ -159,29 +212,17 @@ def _histogram(values: np.ndarray, capacity: int, width: int) -> list[int]:
     return [int(c) for c in counts]
 
 
-def _cmd_split(config: RunConfig) -> None:
-    m = load_score_matrix(config.inputs[0], has_header=config.has_header)
-    result = split(m, config.criterion, max_iter=config.max_iter, policy=config.policy)
-    if config.fmt == "csv":
-        lines = ["g_item,g_score,h_item,h_score,difference"]
-        for row in result.to_dict()["rows"]:
-            lines.append(
-                f"{row['g_item']},{row['g_score']},{row['h_item']},"
-                f"{row['h_score']},{row['difference']}"
-            )
-        _emit("\n".join(lines) + "\n", config.output)
+def _cmd_split(args: argparse.Namespace) -> None:
+    _, result = _load_and_split(args.input, args)
+    if args.fmt == "csv":
+        cols = ["g_item", "g_score", "h_item", "h_score", "difference"]
+        _emit_csv(cols, result.to_dict()["rows"], args.output)
         return
-    parameters = {
-        "criterion": config.criterion,
-        "max_iter": config.max_iter,
-        "policy": config.policy,
-        "has_header": config.has_header,
-    }
-    _dump(_envelope(config, parameters, result.to_dict()), config.output)
+    _dump(_envelope(args, result.to_dict()), args.output)
 
 
-def _cmd_reliability(config: RunConfig) -> None:
-    m, result, scores, stats, report = _analyze(config.inputs[0], config)
+def _cmd_reliability(args: argparse.Namespace) -> None:
+    result, scores, stats, report = analyze(*_load_and_split(args.input, args))
     n_pair = result.assignment.n_rows
     stats_g = descriptive_stats(ExamineeScores(scores.g), n_pair)
     stats_h = descriptive_stats(ExamineeScores(scores.h), n_pair)
@@ -189,16 +230,10 @@ def _cmd_reliability(config: RunConfig) -> None:
     geometry = None
     warnings = []
     if 0.0 <= report.r_tt <= 1.0:
-        geo = true_score_geometry(stats, report.r_tt)
-        geometry = {
-            "S_T_sq": geo.S_T_sq,
-            "norm_T": geo.norm_T,
-            "cos_theta_T": geo.cos_theta_T,
-        }
+        geometry = true_score_geometry(stats, report.r_tt)._asdict()
     else:
         warnings.append("true-score geometry skipped: r_tt outside [0, 1]")
 
-    reduced_n = stats.n
     body = {
         "split": result.to_dict(),
         "stats": {
@@ -209,39 +244,32 @@ def _cmd_reliability(config: RunConfig) -> None:
         "reliability": report.to_dict(),
         "true_score_geometry": geometry,
         "histograms": {
-            "bin_width": config.bin_width,
-            "full": _histogram(scores.combined(), reduced_n, config.bin_width),
-            "g": _histogram(scores.g, n_pair, config.bin_width),
-            "h": _histogram(scores.h, n_pair, config.bin_width),
+            "bin_width": args.bin_width,
+            "full": _histogram(scores.combined(), stats.n, args.bin_width),
+            "g": _histogram(scores.g, n_pair, args.bin_width),
+            "h": _histogram(scores.h, n_pair, args.bin_width),
         },
         "warnings": warnings,
     }
-    parameters = {
-        "criterion": config.criterion,
-        "max_iter": config.max_iter,
-        "policy": config.policy,
-        "has_header": config.has_header,
-        "bin_width": config.bin_width,
-    }
-    _dump(_envelope(config, parameters, body), config.output)
+    _dump(_envelope(args, body), args.output)
 
 
-def _cmd_truescore(config: RunConfig) -> None:
-    m, result, scores, stats, report = _analyze(config.inputs[0], config)
-    r = report.r_tt if config.reliability_kind == "classical" else report.r_gh
+def _cmd_truescore(args: argparse.Namespace) -> None:
+    _, scores, stats, report = analyze(*_load_and_split(args.input, args))
+    r = report.r_tt if args.reliability_kind == "classical" else report.r_gh
     if math.isnan(r):
         raise RangeError("selected reliability is undefined for this input")
     x = ExamineeScores(scores.combined())
-    table = estimate_true_scores(x, stats, r, config.reliability_kind)
-    if config.fmt == "csv":
-        _emit(table.to_csv(), config.output)
+    table = estimate_true_scores(x, stats, r, args.reliability_kind)
+    if args.fmt == "csv":
+        _emit(table.to_csv(), args.output)
         return
     comparison = compare_estimators(x, stats, report.r_tt, report.r_gh)
     percentile = None
-    if config.percentile_of is not None:
+    if args.percentile_of is not None:
         percentile = {
-            "t": config.percentile_of,
-            "rank": percentile_rank(table, config.percentile_of),
+            "t": args.percentile_of,
+            "rank": percentile_rank(table, args.percentile_of),
         }
     body = {
         "reliability": report.to_dict(),
@@ -249,15 +277,7 @@ def _cmd_truescore(config: RunConfig) -> None:
         "comparison": comparison.to_dict(),
         "percentile": percentile,
     }
-    parameters = {
-        "criterion": config.criterion,
-        "reliability_kind": config.reliability_kind,
-        "max_iter": config.max_iter,
-        "policy": config.policy,
-        "has_header": config.has_header,
-        "percentile_of": config.percentile_of,
-    }
-    _dump(_envelope(config, parameters, body), config.output)
+    _dump(_envelope(args, body), args.output)
 
 
 def _pick_weights(method: str, d, k: int):
@@ -272,11 +292,11 @@ def _pick_weights(method: str, d, k: int):
     return equal_weights(k)
 
 
-def _cmd_battery(config: RunConfig) -> None:
+def _cmd_battery(args: argparse.Namespace) -> None:
     tests = []
     details = []
-    for path in config.inputs:
-        m, result, scores, stats, report = _analyze(path, config)
+    for path in args.inputs:
+        result, scores, stats, report = analyze(*_load_and_split(path, args))
         tests.append(
             ComponentTest(
                 scores=ExamineeScores(scores.combined()),
@@ -298,64 +318,30 @@ def _cmd_battery(config: RunConfig) -> None:
         )
     battery = BatteryInput(tests=tuple(tests))
     d = covariance_matrix(battery)
-    weights = _pick_weights(config.weights_method, d, battery.k)
+    weights = _pick_weights(args.weights, d, battery.k)
     battery_report = weighted_reliability(battery, d, weights)
     body = {
         "battery": battery_report.to_dict(),
         "component_details": details,
     }
-    parameters = {
-        "criterion": config.criterion,
-        "weights": config.weights_method,
-        "max_iter": config.max_iter,
-        "policy": config.policy,
-        "has_header": config.has_header,
-    }
-    _dump(_envelope(config, parameters, body), config.output)
+    _dump(_envelope(args, body), args.output)
 
 
-def _cmd_simulate(config: RunConfig) -> None:
-    model = SimModel(kind=config.model, N=config.N, n=config.n, seed=config.seed)
-    m = generate(model)
-    write_score_matrix(m, config.output)
+def _cmd_simulate(args: argparse.Namespace) -> None:
+    model = SimModel(kind=args.model, N=args.N, n=args.n, seed=args.seed)
+    write_score_matrix(generate(model), args.output)
     meta = dict(model.metadata())
-    meta["matrix_sha256"] = _sha256(config.output)
-    parameters = {"model": config.model, "N": config.N, "n": config.n, "seed": config.seed}
-    sidecar = _envelope(config, parameters, meta)
-    _dump(sidecar, config.output + ".meta.json")
+    meta["matrix_sha256"] = _sha256(args.output)
+    _dump(_envelope(args, meta), args.output + ".meta.json")
 
 
-def _cmd_scale(config: RunConfig) -> None:
-    rows = scaling_suite(list(config.sizes), config.model, config.seed)
-    if config.fmt == "csv":
+def _cmd_scale(args: argparse.Namespace) -> None:
+    rows = scaling_suite(args.sizes, args.model, args.seed)
+    if args.fmt == "csv":
         cols = ["N", "n", "seed", "split_seconds", "total_seconds", "abs_S", "iterations", "r_tt"]
-        lines = [",".join(cols)]
-        for row in rows:
-            lines.append(",".join(str(row[c]) for c in cols))
-        _emit("\n".join(lines) + "\n", config.output)
+        _emit_csv(cols, rows, args.output)
         return
-    parameters = {
-        "model": config.model,
-        "seed": config.seed,
-        "sizes": [list(s) for s in config.sizes],
-    }
-    _dump(_envelope(config, parameters, {"rows": rows}), config.output)
-
-
-_COMMANDS = {
-    "split": _cmd_split,
-    "reliability": _cmd_reliability,
-    "truescore": _cmd_truescore,
-    "battery": _cmd_battery,
-    "simulate": _cmd_simulate,
-    "scale": _cmd_scale,
-}
-
-
-def run(config: RunConfig) -> int:
-    """Execute one command; raises ToolkitError subclasses on failure."""
-    _COMMANDS[config.command](config)
-    return 0
+    _dump(_envelope(args, {"rows": rows}), args.output)
 
 
 def _size_pair(text: str) -> tuple[int, int]:
@@ -369,6 +355,24 @@ def _size_pair(text: str) -> tuple[int, int]:
     return pair
 
 
+def _seed(text: str) -> int:
+    seed = int(text)
+    if not 0 <= seed < 2**64:
+        raise argparse.ArgumentTypeError(f"seed must be a 64-bit unsigned integer, got {seed}")
+    return seed
+
+
+def _bin_width(text: str) -> int:
+    width = int(text)
+    if width < 1:
+        raise argparse.ArgumentTypeError(f"bin width must be a positive integer, got {width}")
+    return width
+
+
+# argparse names the type in "invalid int value: 'x'" when int() fails
+_seed.__name__ = _bin_width.__name__ = "int"
+
+
 def _build_parser() -> _Parser:
     parser = _Parser(prog="splitrel", description=__doc__.splitlines()[0])
     parser.add_argument("--version", action="version", version=f"splitrel {__version__}")
@@ -379,23 +383,31 @@ def _build_parser() -> _Parser:
         if len(formats) > 1:
             p.add_argument("--format", choices=formats, default="json", dest="fmt")
 
-    def matrix_opts(p):
-        p.add_argument("--input", required=True, help="CSV of 0/1 scores, rows are examinees")
+    def split_opts(p):
         p.add_argument("--has-header", action="store_true", help="first row holds item ids")
         p.add_argument("--criterion", choices=("abs_S", "product"), default="abs_S")
         p.add_argument("--max-iter", type=int, default=None)
         p.add_argument("--policy", choices=("single", "all"), default="single")
 
+    def matrix_opts(p):
+        p.add_argument("--input", required=True, help="CSV of 0/1 scores, rows are examinees")
+        split_opts(p)
+
     p = sub.add_parser("split", help="dichotomise a test into two parallel halves")
+    p.set_defaults(handler=_cmd_split)
     matrix_opts(p)
     common(p, formats=("json", "csv"))
 
     p = sub.add_parser("reliability", help="split, then compute the reliability report")
+    p.set_defaults(handler=_cmd_reliability)
     matrix_opts(p)
-    p.add_argument("--bin-width", type=int, default=1, help="histogram bin width in score units")
+    p.add_argument(
+        "--bin-width", type=_bin_width, default=1, help="histogram bin width in score units"
+    )
     common(p)
 
     p = sub.add_parser("truescore", help="per-examinee true-score estimates")
+    p.set_defaults(handler=_cmd_truescore)
     matrix_opts(p)
     p.add_argument(
         "--kind",
@@ -408,73 +420,39 @@ def _build_parser() -> _Parser:
     common(p, formats=("json", "csv"))
 
     p = sub.add_parser("battery", help="battery reliability over several tests")
+    p.set_defaults(handler=_cmd_battery)
     p.add_argument("--inputs", required=True, nargs="+", help="one score CSV per test")
-    p.add_argument("--has-header", action="store_true")
-    p.add_argument("--criterion", choices=("abs_S", "product"), default="abs_S")
-    p.add_argument("--max-iter", type=int, default=None)
-    p.add_argument("--policy", choices=("single", "all"), default="single")
-    p.add_argument("--weights", choices=_WEIGHT_METHODS, default="optimal", dest="weights_method")
+    split_opts(p)
+    p.add_argument("--weights", choices=_WEIGHT_METHODS, default="optimal")
     common(p)
 
     p = sub.add_parser("simulate", help="generate a synthetic score matrix")
+    p.set_defaults(handler=_cmd_simulate)
     p.add_argument("--model", choices=("D1", "D2", "D3", "D4"), required=True)
     p.add_argument("--N", type=int, required=True, help="number of examinees")
     p.add_argument("--n", type=int, required=True, help="number of items")
-    p.add_argument("--seed", type=int, required=True)
+    p.add_argument("--seed", type=_seed, required=True)
     p.add_argument("--output", required=True, help="matrix CSV path; metadata sidecar gets .meta.json")
 
     p = sub.add_parser("scale", help="timing and reliability across matrix sizes")
+    p.set_defaults(handler=_cmd_scale)
     p.add_argument("--model", choices=("D1", "D2", "D3", "D4"), required=True)
     p.add_argument("--sizes", required=True, nargs="+", type=_size_pair, metavar="N,n")
-    p.add_argument("--seed", type=int, required=True)
+    p.add_argument("--seed", type=_seed, required=True)
     common(p, formats=("json", "csv"))
 
     return parser
-
-
-def _config_from_args(args: argparse.Namespace) -> RunConfig:
-    inputs: tuple[str, ...] = ()
-    if getattr(args, "input", None) is not None:
-        inputs = (args.input,)
-    elif getattr(args, "inputs", None) is not None:
-        inputs = tuple(args.inputs)
-    if getattr(args, "seed", None) is not None and not 0 <= args.seed < 2**64:
-        raise _UsageError(f"seed must be a 64-bit unsigned integer, got {args.seed}")
-    if getattr(args, "bin_width", 1) < 1:
-        raise _UsageError(f"bin width must be a positive integer, got {args.bin_width}")
-    return RunConfig(
-        command=args.command,
-        inputs=inputs,
-        output=getattr(args, "output", None),
-        fmt=getattr(args, "fmt", "json"),
-        criterion=getattr(args, "criterion", "abs_S"),
-        reliability_kind=getattr(args, "reliability_kind", "classical"),
-        seed=getattr(args, "seed", 0) or 0,
-        bin_width=getattr(args, "bin_width", 1),
-        max_iter=getattr(args, "max_iter", None),
-        policy=getattr(args, "policy", "single"),
-        has_header=getattr(args, "has_header", False),
-        weights_method=getattr(args, "weights_method", "optimal"),
-        model=getattr(args, "model", "D3"),
-        N=getattr(args, "N", 0),
-        n=getattr(args, "n", 0),
-        sizes=tuple(getattr(args, "sizes", ()) or ()),
-        percentile_of=getattr(args, "percentile_of", None),
-    )
 
 
 def main(argv: list[str] | None = None) -> int:
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)
-        config = _config_from_args(args)
-        return run(config)
+        args.handler(args)
+        return 0
     except ToolkitError as exc:
         print(f"error[{type(exc).__name__}]: {exc}", file=sys.stderr)
         return exc.exit_code
-    except FileNotFoundError as exc:
-        print(f"error[FileNotFoundError]: {exc}", file=sys.stderr)
-        return 1
     except OSError as exc:
         print(f"error[{type(exc).__name__}]: {exc}", file=sys.stderr)
         return 1

@@ -320,7 +320,10 @@ def descriptive_stats(x: ExamineeScores, n: int) -> TestStats:
         # cos(theta_X) = sum(X_i * n) / (||X|| * ||I||); the n cancels.
         cos_theta = total / (norm_x * math.sqrt(n_examinees))
         mean_geo = mean_from_norms(norm_x, cos_theta, n_examinees)
-        var_geo = variance_from_norms(norm_x, cos_theta, n_examinees)
+        # sin^2(theta_X) from the exact integer sums: 1 - cos^2 in floats
+        # cancels catastrophically for long near-ceiling tests
+        sin_sq = (n_examinees * sum_sq - total * total) / (n_examinees * sum_sq)
+        var_geo = sum_sq * sin_sq / n_examinees
         if not math.isclose(mean_geo, mean, rel_tol=_REL_TOL, abs_tol=1e-12):
             raise ArithmeticError("geometric and direct means disagree beyond tolerance")
         if not math.isclose(var_geo, variance, rel_tol=_REL_TOL, abs_tol=1e-9):

@@ -22,17 +22,14 @@ reproducing identical matrices.
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass
 
 import numpy as np
 
-from .data_model import ExamineeScores, ScoreMatrix, descriptive_stats
+from .data_model import ScoreMatrix
 from .errors import RangeError, TooSmall
-from .reliability import classical_reliability, sub_test_scores
-from .splitter import split
 
-__all__ = ["SimModel", "GENERATOR_ID", "generate", "scaling_suite"]
+__all__ = ["SimModel", "GENERATOR_ID", "generate"]
 
 GENERATOR_ID = "numpy-pcg64"
 
@@ -91,48 +88,3 @@ def generate(model: SimModel, *, fixed_p: float | None = None) -> ScoreMatrix:
     shaped = p[:, None] if model.kind in _PER_EXAMINEE else p[None, :]
     entries = (rng.random((model.N, model.n)) < shaped).astype(np.int8)
     return ScoreMatrix(entries)
-
-
-def scaling_suite(
-    sizes: list[tuple[int, int]],
-    model_kind: str,
-    seed: int,
-) -> list[dict]:
-    """Generate, split and score a matrix at each size; tabulate timings.
-
-    Per-size seeds are derived from the master seed through a seed
-    sequence, so adding or reordering sizes changes nothing about what
-    any given position produces.  Each row reports the size, the derived
-    seed, the split wall-clock, the total wall-clock, the achieved
-    abs_S, and the classical reliability.
-    """
-    if not sizes:
-        raise TooSmall("scaling suite needs at least one (N, n) size")
-    child_seeds = np.random.SeedSequence(seed).generate_state(len(sizes), dtype=np.uint64)
-    rows = []
-    for (n_examinees, n_items), child in zip(sizes, child_seeds):
-        model = SimModel(kind=model_kind, N=n_examinees, n=n_items, seed=int(child))
-        started = time.perf_counter()
-        m = generate(model)
-        split_started = time.perf_counter()
-        result = split(m)
-        split_seconds = time.perf_counter() - split_started
-        scores = sub_test_scores(m, result.assignment)
-        # stats describe the reduced test: a dropped odd item is in neither half
-        reduced_n = n_items - (result.assignment.dropped_item is not None)
-        stats = descriptive_stats(ExamineeScores(scores.combined()), reduced_n)
-        report = classical_reliability(scores, stats)
-        total_seconds = time.perf_counter() - started
-        rows.append(
-            {
-                "N": n_examinees,
-                "n": n_items,
-                "seed": int(child),
-                "split_seconds": split_seconds,
-                "total_seconds": total_seconds,
-                "abs_S": result.abs_S,
-                "iterations": result.iterations,
-                "r_tt": report.r_tt,
-            }
-        )
-    return rows

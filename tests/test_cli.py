@@ -5,6 +5,7 @@ import hashlib
 import io
 import json
 from contextlib import redirect_stderr, redirect_stdout
+from pathlib import Path
 
 import jsonschema
 import numpy as np
@@ -222,6 +223,19 @@ def test_usage_errors_exit_one():
     assert run_cli("scale", "--model", "D3", "--sizes", "nope", "--seed", "1")[0] == 1
 
 
+@pytest.mark.parametrize("argv", [
+    ("reliability", "--input", "m.csv", "--bin-width", "0"),
+    ("simulate", "--model", "D3", "--N", "10", "--n", "4", "--seed", "-1", "--output", "s.csv"),
+    ("simulate", "--model", "D3", "--N", "10", "--n", "4", "--seed", str(2**64), "--output", "s.csv"),
+])
+def test_out_of_range_options_are_usage_errors(argv, tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    code, _, err = run_cli(*argv)
+    assert code == 1
+    assert "error[_UsageError]" in err
+    assert "Traceback" not in err
+
+
 def test_missing_input_exits_one(tmp_path):
     code, _, err = run_cli("split", "--input", str(tmp_path / "absent.csv"))
     assert code == 1
@@ -243,6 +257,28 @@ def test_degenerate_matrix_exits_two(tmp_path):
     code, _, err = run_cli("reliability", "--input", str(p))
     assert code == 2
     assert "ZeroVariance" in err
+
+
+def test_near_ceiling_long_test_gets_a_report(schema, tmp_path):
+    # 30 examinees, 5000 items, all correct but 0-2 misses each: float
+    # cancellation in the stats cross-check once ended this in a traceback
+    entries = np.ones((30, 5000), dtype=int)
+    for i in range(30):
+        entries[i, [(i * 7 + k * 1013) % 5000 for k in range(i % 3)]] = 0
+    path = tmp_path / "ceiling.csv"
+    write_score_matrix(ScoreMatrix(entries), path)
+    doc = run_json(schema, "reliability", "--input", str(path))
+    assert doc["report"]["stats"]["full"]["n"] == 5000
+
+
+def test_readme_python_sketch_runs(tmp_path, monkeypatch):
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text("utf-8")
+    sketch = readme.split("```python\n", 1)[1].split("```", 1)[0]
+    rng = np.random.default_rng(63)
+    entries = (rng.random((80, 15)) < rng.random((80, 1))).astype(int)
+    write_score_matrix(ScoreMatrix(entries), tmp_path / "scores.csv")
+    monkeypatch.chdir(tmp_path)
+    exec(compile(sketch, "README.md", "exec"), {})
 
 
 def test_version_flag():

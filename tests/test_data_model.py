@@ -113,6 +113,13 @@ def test_descriptive_stats_against_hand_values():
     assert variance_from_norms(st.norm_X, st.cos_theta_X, st.N) == pytest.approx(1.25)
 
 
+def test_descriptive_stats_near_ceiling_long_test():
+    # 1 - cos^2(theta) in floats cancels for totals this close to n; the
+    # geometric cross-check must not report a disagreement that is not there
+    st = descriptive_stats(ExamineeScores([5000, 5000, 4999] * 10), 5000)
+    assert st.variance == pytest.approx(2 / 9, rel=1e-9)
+
+
 def test_descriptive_stats_vs_numpy_on_random_vectors():
     rng = np.random.default_rng(5)
     for _ in range(25):

@@ -13,10 +13,10 @@ from splitrel import (
     classical_reliability,
     descriptive_stats,
     generate,
-    scaling_suite,
     split,
     sub_test_scores,
 )
+from splitrel.cli import scaling_suite
 
 
 def reference_probabilities(kind: str, N: int, n: int, seed: int) -> np.ndarray:
