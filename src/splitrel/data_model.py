@@ -28,7 +28,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainViolation, ShapeError, TooSmall
+from .errors import DomainViolation, RangeError, ShapeError, TooSmall
 
 __all__ = [
     "ScoreMatrix",
@@ -187,29 +187,83 @@ def variance_from_norms(norm_x: float, cos_theta_x: float, n_examinees: int) -> 
     return norm_x * norm_x * sin_sq / n_examinees
 
 
-def _read_text(source) -> str:
+# csv would quote or mangle these, so they cannot round-trip
+_RESERVED_DELIMITERS = ("0", "1", '"', "\r", "\n")
+
+
+def _check_delimiter(delimiter) -> None:
+    if (
+        not isinstance(delimiter, str)
+        or len(delimiter) != 1
+        or not delimiter.isascii()
+        or delimiter in _RESERVED_DELIMITERS
+    ):
+        raise RangeError(
+            "delimiter must be one ASCII character other than "
+            f"'0', '1', '\"', CR and LF, got {delimiter!r}"
+        )
+
+
+def _read(source) -> bytes | str:
     if isinstance(source, (str, os.PathLike)):
         with open(source, "rb") as fh:
-            return fh.read().decode("utf-8")
+            return fh.read()
     if isinstance(source, bytes):
-        return source.decode("utf-8")
-    data = source.read()
-    if isinstance(data, bytes):
-        data = data.decode("utf-8")
-    return data
+        return source
+    return source.read()
 
 
-def load_score_matrix(source, *, has_header: bool = False, delimiter: str = ",") -> ScoreMatrix:
-    """Parse a delimited text table of 0/1 cells into a ScoreMatrix.
+def _load_canonical(data: bytes, has_header: bool, delimiter: str) -> ScoreMatrix | None:
+    """Parse rows written exactly as ``c,c,...,c\\n`` in one numpy pass.
 
-    ``source`` may be a path, bytes, or a file-like object.  Each row is
-    one examinee, each column one item.  Cells must be exactly "0" or
-    "1" after whitespace trimming; anything else (including blanks) is a
-    DomainViolation naming the 1-based row and column.  Ragged rows are
-    a ShapeError.  Fewer than 2 rows or columns is TooSmall.
+    Returns None for anything else (CRLF, padding, quotes, blank or
+    ragged rows, bad cells, a blank or quoted header, too few rows or
+    columns), which the csv reader then parses or rejects.
     """
-    text = _read_text(source)
-    reader = csv.reader(io.StringIO(text), delimiter=delimiter)
+    item_ids = None
+    if has_header:
+        end = data.find(b"\n")
+        line = data[:end]
+        # quotes and CR need the csv reader, and so does NUL, which the
+        # reader of Python 3.10 rejects
+        if end < 0 or any(b in line for b in (b'"', b"\r", b"\0")):
+            return None
+        try:
+            ids = tuple(cell.strip() for cell in line.decode("utf-8").split(delimiter))
+        except UnicodeDecodeError:
+            return None
+        if all(cell == "" for cell in ids):
+            return None
+        item_ids = ids
+        data = data[end + 1 :]
+    if not data.endswith(b"\n"):
+        data += b"\n"
+    row_bytes = data.find(b"\n") + 1
+    n_items = row_bytes // 2
+    if n_items < 2 or row_bytes % 2 or len(data) % row_bytes or len(data) < 2 * row_bytes:
+        return None
+    if item_ids is not None and len(item_ids) != n_items:
+        return None
+    rows = np.frombuffer(data, dtype=np.uint8).reshape(-1, row_bytes)
+    separators = np.full(n_items, ord(delimiter), dtype=np.uint8)
+    separators[-1] = ord("\n")
+    # '0'/'1' minus ord('0') is 0/1; any other byte wraps round past 1
+    cells = rows[:, 0::2] - np.uint8(ord("0"))
+    if (cells > 1).any() or not (rows[:, 1::2] == separators).all():
+        return None
+    return ScoreMatrix(entries=cells, item_ids=item_ids)
+
+
+def _load_with_csv(data: bytes | str, has_header: bool, delimiter: str) -> ScoreMatrix:
+    """The csv-module parser: every input it accepts, every error message."""
+    if isinstance(data, bytes):
+        try:
+            data = data.decode("utf-8")
+        except UnicodeDecodeError as exc:
+            raise DomainViolation(
+                f"input is not valid UTF-8: byte 0x{data[exc.start]:02x} at offset {exc.start}"
+            ) from None
+    reader = csv.reader(io.StringIO(data), delimiter=delimiter)
     item_ids = None
     rows: list[list[int]] = []
     width = None
@@ -246,21 +300,48 @@ def load_score_matrix(source, *, has_header: bool = False, delimiter: str = ",")
     return ScoreMatrix(entries=np.array(rows, dtype=np.int8), item_ids=item_ids)
 
 
+def load_score_matrix(source, *, has_header: bool = False, delimiter: str = ",") -> ScoreMatrix:
+    """Parse a delimited UTF-8 table of 0/1 cells into a ScoreMatrix.
+
+    ``source`` may be a path, bytes, or a file-like object.  Each row is
+    one examinee, each column one item.  Cells must be exactly "0" or
+    "1" after whitespace trimming; anything else (including blanks) is a
+    DomainViolation naming the 1-based row and column, and so is input
+    that is not valid UTF-8.  Ragged rows are a ShapeError.  Fewer than
+    2 rows or columns is TooSmall.  The delimiter must be one ASCII
+    character other than 0, 1, the quote, CR and LF (RangeError).
+
+    Rows written exactly as ``c,c,...,c\\n`` are parsed as one byte block;
+    any other input goes through the csv module, with the same result.
+    """
+    _check_delimiter(delimiter)
+    data = _read(source)
+    raw = data.encode("utf-8", "surrogatepass") if isinstance(data, str) else data
+    m = _load_canonical(raw, has_header, delimiter)
+    return m if m is not None else _load_with_csv(data, has_header, delimiter)
+
+
 def write_score_matrix(m: ScoreMatrix, dest, *, delimiter: str = ",", header: bool = False) -> None:
-    """Serialize a ScoreMatrix back to delimited text (inverse of load)."""
+    """Serialize a ScoreMatrix back to delimited text (inverse of load).
 
-    def _write(fh):
-        writer = csv.writer(fh, delimiter=delimiter, lineterminator="\n")
-        if header and m.item_ids is not None:
-            writer.writerow(m.item_ids)
-        for row in m.entries:
-            writer.writerow([int(v) for v in row])
-
+    ``dest`` is a path or a text handle.  The delimiter rule is the
+    loader's.
+    """
+    _check_delimiter(delimiter)
+    head = io.StringIO()
+    if header and m.item_ids is not None:
+        csv.writer(head, delimiter=delimiter, lineterminator="\n").writerow(m.item_ids)
+    n_examinees, n_items = m.entries.shape
+    body = np.empty((n_examinees, 2 * n_items), dtype=np.uint8)
+    body[:, 0::2] = m.entries + ord("0")
+    body[:, 1::2] = ord(delimiter)
+    body[:, -1] = ord("\n")
     if isinstance(dest, (str, os.PathLike)):
-        with open(dest, "w", encoding="utf-8", newline="") as fh:
-            _write(fh)
+        with open(dest, "wb") as fh:
+            fh.write(head.getvalue().encode("utf-8"))
+            fh.write(body)
     else:
-        _write(dest)
+        dest.write(head.getvalue() + body.tobytes().decode("ascii"))
 
 
 def item_totals(m: ScoreMatrix) -> ItemScores:

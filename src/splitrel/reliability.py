@@ -19,9 +19,8 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
-from scipy.special import betainc
 
-from .data_model import ScoreMatrix, TestStats, _frozen_int_array
+from .data_model import ScoreMatrix, TestStats, _frozen_int_array, mean_from_norms
 from .errors import RangeError, ShapeError, TooSmall, ZeroVariance
 from .splitter import Assignment
 
@@ -78,9 +77,8 @@ def sub_test_scores(m: ScoreMatrix, a: Assignment) -> SubTestScores:
     for j in (*a.g_items, *a.h_items):
         if j >= n:
             raise ShapeError(f"assignment references item {j} of a {n}-item matrix")
-    wide = m.entries.astype(np.int64)
-    g = wide[:, list(a.g_items)].sum(axis=1)
-    h = wide[:, list(a.h_items)].sum(axis=1)
+    g = m.entries[:, list(a.g_items)].sum(axis=1, dtype=np.int64)
+    h = m.entries[:, list(a.h_items)].sum(axis=1, dtype=np.int64)
     return SubTestScores(g, h)
 
 
@@ -164,6 +162,9 @@ def f_test_equal_variance(s: SubTestScores) -> tuple[float, float]:
     incomplete beta function.  Note this compares observed sub-test
     score variances (see the report note).
     """
+    # scipy.special takes longer to import than the rest of the package
+    from scipy.special import betainc
+
     n = s.n_examinees
     if n < 3:
         raise TooSmall(f"F-test needs at least 3 examinees, got {n}")
@@ -184,8 +185,11 @@ def true_score_geometry(stats: TestStats, r_tt: float) -> TrueScoreGeometry:
 
     S_T^2 = r_tt * S_X^2; the true-score vector has the same mean as the
     observed one, so ||T|| = sqrt(N (mean^2 + S_T^2)) and
-    cos(theta_T) = (||X|| / ||T||) cos(theta_X).  The variance is
-    recovered through the angle as a cross-check.
+    cos(theta_T) = (||X|| / ||T||) cos(theta_X).  The mean is recovered
+    as ||T|| cos(theta_T) / sqrt(N), the check ``descriptive_stats``
+    makes for the observed scores.  (The variance route through
+    1 - cos^2(theta_T) is the same quantity and can only disagree by
+    cancellation, as it does on long near-ceiling tests.)
     """
     if not 0.0 <= r_tt <= 1.0:
         raise RangeError(f"true-score geometry needs r_tt in [0, 1], got {r_tt}")
@@ -194,11 +198,10 @@ def true_score_geometry(stats: TestStats, r_tt: float) -> TrueScoreGeometry:
     if norm_t == 0.0 or math.isnan(stats.cos_theta_X):
         return TrueScoreGeometry(s_t_sq, norm_t, float("nan"))
     cos_t = (stats.norm_X / norm_t) * stats.cos_theta_X
-    # same two-route agreement demanded of the observed-score stats
-    via_angle = norm_t * norm_t * max(0.0, 1.0 - cos_t * cos_t) / stats.N
-    if not math.isclose(via_angle, s_t_sq, rel_tol=1e-9, abs_tol=1e-9):
+    via_angle = mean_from_norms(norm_t, cos_t, stats.N)
+    if not math.isclose(via_angle, stats.mean, rel_tol=1e-9, abs_tol=1e-12):
         raise ArithmeticError(
-            f"true-score variance routes disagree: {via_angle} vs {s_t_sq}"
+            f"true-score mean routes disagree: {via_angle} vs {stats.mean}"
         )
     return TrueScoreGeometry(s_t_sq, norm_t, cos_t)
 

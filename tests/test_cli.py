@@ -271,6 +271,28 @@ def test_near_ceiling_long_test_gets_a_report(schema, tmp_path):
     assert doc["report"]["stats"]["full"]["n"] == 5000
 
 
+def test_near_ceiling_true_score_geometry_gets_a_report(schema, tmp_path):
+    # 40 x 4000, all correct but 0-5 misses each: the true-score variance
+    # cross-check once raised a false ArithmeticError on this input
+    rng = np.random.default_rng(0)
+    entries = np.ones((40, 4000), dtype=int)
+    for row in entries:
+        row[rng.choice(4000, size=rng.integers(0, 6), replace=False)] = 0
+    path = tmp_path / "ceiling.csv"
+    write_score_matrix(ScoreMatrix(entries), path)
+    doc = run_json(schema, "reliability", "--input", str(path))
+    assert 0.0 <= doc["report"]["reliability"]["r_tt"] <= 1.0
+    assert doc["report"]["true_score_geometry"]["cos_theta_T"] > 0.0
+
+
+def test_invalid_utf8_input_exits_one(tmp_path):
+    p = tmp_path / "latin.csv"
+    p.write_bytes(b"0,1\n1,\xff\n0,0\n")
+    code, out, err = run_cli("reliability", "--input", str(p))
+    assert (code, out) == (1, "")
+    assert err == "error[DomainViolation]: input is not valid UTF-8: byte 0xff at offset 6\n"
+
+
 def test_readme_python_sketch_runs(tmp_path, monkeypatch):
     readme = (Path(__file__).resolve().parents[1] / "README.md").read_text("utf-8")
     sketch = readme.split("```python\n", 1)[1].split("```", 1)[0]

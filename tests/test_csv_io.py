@@ -1,0 +1,202 @@
+"""Score-matrix CSV I/O: the byte-block fast paths against csv-module references.
+
+``load_score_matrix`` parses canonical files (rows written exactly as
+``c,c,...,c\\n``) as one numpy byte block and sends everything else to
+the kept csv-module parser, ``data_model._load_with_csv``.  The property
+tests perturb random matrices in every way that leaves the canonical
+form and require both to return the same matrix or raise the same
+error.  ``write_score_matrix`` is compared byte for byte with a
+``csv.writer`` reference.
+"""
+
+import csv
+import io
+
+import numpy as np
+import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+
+from splitrel import RangeError, ScoreMatrix, ToolkitError, load_score_matrix, write_score_matrix
+from splitrel import data_model
+
+PERTURBATIONS = (
+    "crlf",
+    "padded_cell",
+    "quoted_cell",
+    "blank_line",
+    "no_final_newline",
+    "bad_cell",
+    "ragged_row",
+    "bad_utf8",
+    "other_delimiter",
+)
+DELIMITERS = (",", ";", "\t")
+BAD_CELLS = ("2", "", "x", "01", "1 1", "-0", "é")
+ID_ALPHABET = "abXY_-.é\"'; \t,"
+
+PROPERTY = settings(
+    max_examples=300, deadline=None, suppress_health_check=[HealthCheck.too_slow]
+)
+
+
+def describe(m):
+    return m.entries.tolist(), m.entries.dtype, m.item_ids, m.examinee_ids
+
+
+def outcome(load, source, **kwargs):
+    """What a loader makes of an input: the matrix and ids, or the error."""
+    try:
+        return describe(load(source, **kwargs))
+    except ToolkitError as exc:
+        return type(exc), str(exc)
+
+
+def reference_load(source, *, has_header=False, delimiter=","):
+    return data_model._load_with_csv(source, has_header, delimiter)
+
+
+def reference_write(m, delimiter, header):
+    out = io.StringIO()
+    writer = csv.writer(out, delimiter=delimiter, lineterminator="\n")
+    if header and m.item_ids is not None:
+        writer.writerow(m.item_ids)
+    for row in m.entries:
+        writer.writerow([int(v) for v in row])
+    return out.getvalue()
+
+
+@st.composite
+def score_files(draw):
+    """A random 0/1 matrix as delimited bytes, with random perturbations."""
+    n_rows = draw(st.integers(1, 7))
+    n_cols = draw(st.integers(1, 7))
+    size = n_rows * n_cols
+    cells = draw(st.lists(st.sampled_from("01"), min_size=size, max_size=size))
+    rows = [cells[r * n_cols : (r + 1) * n_cols] for r in range(n_rows)]
+    delimiter = draw(st.sampled_from(DELIMITERS))
+    chosen = draw(st.sets(st.sampled_from(PERTURBATIONS), max_size=3))
+
+    def pick_cell():
+        r = draw(st.integers(0, n_rows - 1))
+        return r, draw(st.integers(0, len(rows[r]) - 1))
+
+    if "padded_cell" in chosen:
+        r, c = pick_cell()
+        pad = draw(st.sampled_from([" ", "  "]))
+        rows[r][c] = pad + rows[r][c] + draw(st.sampled_from(["", " "]))
+    if "quoted_cell" in chosen:
+        r, c = pick_cell()
+        rows[r][c] = f'"{rows[r][c]}"'
+    if "bad_cell" in chosen:
+        r, c = pick_cell()
+        rows[r][c] = draw(st.sampled_from(BAD_CELLS))
+    if "ragged_row" in chosen:
+        r = draw(st.integers(0, n_rows - 1))
+        if draw(st.booleans()) and len(rows[r]) > 1:
+            rows[r].pop()
+        else:
+            rows[r].append(draw(st.sampled_from("01")))
+    lines = [delimiter.join(row) for row in rows]
+    if "blank_line" in chosen:
+        blank = draw(st.sampled_from(["", " ", delimiter]))
+        lines.insert(draw(st.integers(0, len(lines))), blank)
+
+    has_header = draw(st.booleans())
+    if draw(st.booleans()):
+        n_labels = draw(st.integers(n_cols, n_cols + 1))
+        label = st.text(ID_ALPHABET, min_size=1, max_size=4)
+        ids = draw(st.lists(label, min_size=n_labels, max_size=n_labels))
+        head = io.StringIO()
+        csv.writer(head, delimiter=delimiter, lineterminator="\n").writerow(ids)
+        lines.insert(0, head.getvalue()[:-1])
+
+    newline = "\r\n" if "crlf" in chosen else "\n"
+    text = newline.join(lines)
+    if "no_final_newline" not in chosen:
+        text += newline
+    data = text.encode("utf-8")
+    if "bad_utf8" in chosen:
+        at = draw(st.integers(0, len(data)))
+        data = data[:at] + b"\xff" + data[at:]
+    as_text = draw(st.booleans()) and "bad_utf8" not in chosen
+    if "other_delimiter" in chosen:
+        delimiter = draw(st.sampled_from([d for d in DELIMITERS if d != delimiter]))
+    return data, as_text, has_header, delimiter
+
+
+@PROPERTY
+@given(score_files())
+def test_loader_agrees_with_csv_reference(case):
+    data, as_text, has_header, delimiter = case
+    content = data.decode("utf-8") if as_text else data
+    source = io.StringIO(content) if as_text else data
+    got = outcome(load_score_matrix, source, has_header=has_header, delimiter=delimiter)
+    want = outcome(reference_load, content, has_header=has_header, delimiter=delimiter)
+    assert got == want
+
+
+@st.composite
+def matrices(draw):
+    n_rows = draw(st.integers(2, 6))
+    n_cols = draw(st.integers(2, 6))
+    size = n_rows * n_cols
+    flat = draw(st.lists(st.integers(0, 1), min_size=size, max_size=size))
+    ids = None
+    if draw(st.booleans()):
+        # the loader trims cells, so labels carry no edge whitespace
+        label = st.text(ID_ALPHABET.replace(" ", "").replace("\t", ""), min_size=1, max_size=4)
+        ids = draw(st.lists(label, min_size=n_cols, max_size=n_cols))
+    return ScoreMatrix(np.array(flat).reshape(n_rows, n_cols), item_ids=ids)
+
+
+@PROPERTY
+@given(matrices(), st.sampled_from(DELIMITERS), st.booleans(), st.booleans())
+def test_canonical_files_take_the_byte_block_path(m, delimiter, header, final_newline):
+    with_header = header and m.item_ids is not None and not any(
+        delimiter in label or '"' in label for label in m.item_ids
+    )
+    text = reference_write(m, delimiter, with_header)
+    data = text.encode("utf-8") if final_newline else text[:-1].encode("utf-8")
+    parsed = data_model._load_canonical(data, with_header, delimiter)
+    assert parsed is not None
+    want = outcome(reference_load, data, has_header=with_header, delimiter=delimiter)
+    assert describe(parsed) == want
+
+
+@PROPERTY
+@given(matrices(), st.sampled_from([",", ";", "\t", " ", "|"]), st.booleans())
+def test_writer_matches_csv_writer_and_round_trips(m, delimiter, header):
+    out = io.StringIO()
+    write_score_matrix(m, out, delimiter=delimiter, header=header)
+    text = out.getvalue()
+    assert text == reference_write(m, delimiter, header)
+    with_header = header and m.item_ids is not None
+    back = load_score_matrix(io.StringIO(text), has_header=with_header, delimiter=delimiter)
+    assert np.array_equal(back.entries, m.entries)
+    assert back.item_ids == (m.item_ids if with_header else None)
+
+
+def test_writer_to_path_matches_reference_bytes(tmp_path):
+    rng = np.random.default_rng(4)
+    ids = [f"qé{j}" for j in range(8)] + ['say "hi"']
+    m = ScoreMatrix((rng.random((30, 9)) < 0.5).astype(int), item_ids=ids)
+    path = tmp_path / "m.csv"
+    write_score_matrix(m, path, header=True)
+    assert path.read_bytes() == reference_write(m, ",", True).encode("utf-8")
+    back = load_score_matrix(path, has_header=True)
+    assert np.array_equal(back.entries, m.entries) and back.item_ids == m.item_ids
+
+
+@pytest.mark.parametrize("delimiter", ["", ",,", "0", "1", '"', "\r", "\n", "é", b","])
+def test_unusable_delimiters_are_range_errors(delimiter, tmp_path):
+    m = ScoreMatrix([[0, 1], [1, 0]])
+    with pytest.raises(RangeError, match="delimiter must be one ASCII character"):
+        load_score_matrix(b"0,1\n1,0\n", delimiter=delimiter)
+    with pytest.raises(RangeError, match="delimiter must be one ASCII character"):
+        write_score_matrix(m, tmp_path / "m.csv", delimiter=delimiter)
+
+
+def test_invalid_utf8_is_a_domain_violation_with_offset():
+    with pytest.raises(data_model.DomainViolation, match="not valid UTF-8: byte 0xff at offset 6"):
+        load_score_matrix(b"0,1\n1,\xff\n0,0\n")

@@ -1,6 +1,9 @@
 """Reliability formulas, the F-test, and the person-space geometry."""
 
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -138,6 +141,25 @@ def test_true_score_geometry_rejects_out_of_range():
     for bad in (-0.1, 1.1):
         with pytest.raises(RangeError):
             true_score_geometry(st, bad)
+
+
+def test_true_score_geometry_near_ceiling_long_test():
+    # 1 - cos^2(theta_T) cancels here; the variance route once raised a
+    # false ArithmeticError, the mean route agrees to rounding
+    st = descriptive_stats(ExamineeScores([5000, 5000, 4999] * 10), 5000)
+    geo = true_score_geometry(st, 0.5)
+    assert geo.S_T_sq == 0.5 * st.variance
+    assert geo.norm_T * geo.cos_theta_T / math.sqrt(st.N) == pytest.approx(st.mean, rel=1e-12)
+
+
+def test_import_leaves_scipy_special_out():
+    # scipy.special is imported by the F-test on first use, not by the package
+    code = "import sys, splitrel, splitrel.cli; print('scipy.special' in sys.modules)"
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
+    out = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+    )
+    assert out.stdout.strip() == "False"
 
 
 def test_classical_reliability_on_hand_vectors():
