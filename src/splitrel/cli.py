@@ -17,6 +17,7 @@ import argparse
 import hashlib
 import json
 import math
+import re
 import sys
 import time
 from importlib import resources
@@ -53,7 +54,13 @@ from .reliability import (
 )
 from .simulate import SimModel, generate
 from .splitter import SplitResult, split
-from .truescore import compare_estimators, estimate_true_scores, percentile_rank
+from .truescore import (
+    BinBlock,
+    RowBlock,
+    compare_estimators,
+    estimate_true_scores,
+    percentile_rank,
+)
 
 __all__ = ["Analysis", "analyze", "scaling_suite", "main", "load_schema"]
 
@@ -137,12 +144,20 @@ def scaling_suite(
     return rows
 
 
-def _json_safe(obj):
-    """Recursively strip JSON-hostile values: numpy scalars, NaN, inf."""
+def _json_safe(obj, blocks: list | None = None):
+    """Recursively strip JSON-hostile values: numpy scalars, NaN, inf.
+
+    With ``blocks`` given, each ``RowBlock`` and ``BinBlock`` is appended
+    to it and replaced by a marker string that ``_dump`` swaps for the
+    block's text.
+    """
+    if blocks is not None and isinstance(obj, (RowBlock, BinBlock)):
+        blocks.append(obj)
+        return f"\0{len(blocks) - 1}"
     if isinstance(obj, dict):
-        return {str(k): _json_safe(v) for k, v in obj.items()}
+        return {str(k): _json_safe(v, blocks) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):
-        return [_json_safe(v) for v in obj]
+        return [_json_safe(v, blocks) for v in obj]
     if isinstance(obj, (np.integer,)):
         return int(obj)
     if isinstance(obj, (np.floating,)):
@@ -150,7 +165,7 @@ def _json_safe(obj):
     if isinstance(obj, float) and not math.isfinite(obj):
         return None
     if isinstance(obj, np.ndarray):
-        return [_json_safe(v) for v in obj.tolist()]
+        return [_json_safe(v, blocks) for v in obj.tolist()]
     return obj
 
 
@@ -189,9 +204,57 @@ def _emit_csv(columns: list[str], rows: list[dict], output: str | None) -> None:
     _emit("\n".join(lines) + "\n", output)
 
 
+def _json_values(values: list) -> list[str]:
+    """The JSON text of each scalar in a list, as ``_dump`` writes it."""
+    kinds = set(map(type, values))
+    if kinds <= {int}:
+        return list(map(int.__repr__, values))
+    if kinds <= {float} and all(map(math.isfinite, values)):
+        return list(map(float.__repr__, values))
+    if kinds <= {bool}:
+        return ["true" if v else "false" for v in values]
+    return [json.dumps(_json_safe(v)) for v in values]
+
+
+def _json_container(items: list[str], indent: str, brackets: str = "[]") -> str:
+    if not items:
+        return brackets
+    return brackets[0] + "\n" + ",\n".join(items) + "\n" + indent + brackets[1]
+
+
+def _render_block(block, indent: str) -> str:
+    """The text ``json.dumps(indent=2, sort_keys=True)`` writes for the
+    plain value of ``block`` when its opening bracket sits on a line
+    indented by ``indent``; each row or id is filled into one template."""
+    inner = indent + "  "
+    if isinstance(block, BinBlock):
+        bins = [
+            f"{inner}{json.dumps(key)}: "
+            + _json_container([f"{inner}  {v}" for v in _json_values(ids)], inner)
+            for key, ids in sorted(block.items())
+        ]
+        return _json_container(bins, indent, "{}")
+    order = sorted(range(len(block.fields)), key=block.fields.__getitem__)
+    fields = ",\n".join(f"{inner}  {json.dumps(block.fields[k])}: %s" for k in order)
+    template = f"{inner}{{\n{fields}\n{inner}}}"
+    columns = [_json_values(values) for values in block.column_lists()]
+    rows = zip(*(columns[k] for k in order))
+    return _json_container(list(map(template.__mod__, rows)), indent)
+
+
 def _dump(envelope: dict, output: str | None) -> None:
-    text = json.dumps(_json_safe(envelope), indent=2, sort_keys=True) + "\n"
-    _emit(text, output)
+    # the per-examinee blocks leave a marker that starts with NUL, which
+    # no other string of a report can hold: argv and paths cannot, and
+    # the rest is the program's own text
+    blocks: list = []
+    text = json.dumps(_json_safe(envelope, blocks), indent=2, sort_keys=True) + "\n"
+
+    def splice(marker: re.Match) -> str:
+        line = text[text.rfind("\n", 0, marker.start()) + 1 : marker.start()]
+        indent = line[: len(line) - len(line.lstrip(" "))]
+        return _render_block(blocks[int(marker[1])], indent)
+
+    _emit(re.sub(r'"\\u0000(\d+)"', splice, text) if blocks else text, output)
 
 
 def load_schema() -> dict:

@@ -54,6 +54,19 @@ def _frozen_int_array(values, dtype=np.int64):
     return arr
 
 
+def _is_binary(entries: np.ndarray) -> bool:
+    """Whether every cell is 0 or 1.
+
+    Integer input needs only its minimum and maximum, so no N x n
+    boolean temporary is made; other dtypes compare cell by cell.
+    """
+    if entries.dtype == np.bool_:
+        return True
+    if entries.dtype.kind in "iu":
+        return bool(entries.min() >= 0 and entries.max() <= 1)
+    return bool(np.isin(entries, (0, 1)).all())
+
+
 @dataclass(frozen=True)
 class ScoreMatrix:
     """Immutable N x n matrix of binary item responses.
@@ -76,9 +89,8 @@ class ScoreMatrix:
             raise TooSmall(
                 f"need at least 2 examinees and 2 items, got {n_examinees} x {n_items}"
             )
-        valid = np.isin(entries, (0, 1))
-        if not valid.all():
-            i, j = np.argwhere(~valid)[0]
+        if not _is_binary(entries):
+            i, j = np.argwhere(~np.isin(entries, (0, 1)))[0]
             raise DomainViolation(
                 f"non-binary value {entries[i, j]!r} at row {i + 1}, column {j + 1}"
             )

@@ -15,7 +15,9 @@ near zero.
 
 Determinism contract: the generator is PCG64 seeded directly with the
 model seed, all probability parameters are drawn first, then the
-uniforms behind the Bernoulli entries are drawn in one row-major block.
+uniforms behind the Bernoulli entries are drawn in row-major order.
+They are drawn in blocks of whole rows, which PCG64 fills from the same
+stream as one N x n block, so memory stays bounded by the block size.
 Refactors must preserve that draw order or identical seeds would stop
 reproducing identical matrices.
 """
@@ -36,6 +38,9 @@ GENERATOR_ID = "numpy-pcg64"
 _KINDS = ("D1", "D2", "D3", "D4")
 _NORMAL_KINDS = ("D3", "D4")
 _PER_EXAMINEE = ("D1", "D3")
+
+# uniforms drawn per block of rows: 2**20 cells is 8 MiB of float64
+_CHUNK_CELLS = 1 << 20
 
 
 @dataclass(frozen=True)
@@ -86,5 +91,10 @@ def generate(model: SimModel, *, fixed_p: float | None = None) -> ScoreMatrix:
     else:
         p = rng.random(count)
     shaped = p[:, None] if model.kind in _PER_EXAMINEE else p[None, :]
-    entries = (rng.random((model.N, model.n)) < shaped).astype(np.int8)
+    shaped = np.broadcast_to(shaped, (model.N, model.n))
+    entries = np.empty((model.N, model.n), dtype=np.int8)
+    step = max(1, _CHUNK_CELLS // model.n)
+    for start in range(0, model.N, step):
+        rows = slice(start, start + step)
+        entries[rows] = rng.random(shaped[rows].shape) < shaped[rows]
     return ScoreMatrix(entries)

@@ -10,6 +10,11 @@ per-row diagnostic instead of replacing the interval.
 
 Estimates are never rounded or truncated: an extreme observed score can
 put the estimate outside [0, n], and such rows are flagged, not edited.
+
+Both tables store one column per row field (numpy arrays, apart from
+caller-given ids, which stay a tuple) and compute every column as one
+whole-array expression, with the same IEEE operations per value as the
+row formulas in the docstrings; ``rows`` builds the row tuples on demand.
 """
 
 from __future__ import annotations
@@ -18,12 +23,16 @@ import csv
 import io
 import math
 from dataclasses import dataclass
-from typing import NamedTuple, Sequence
+from typing import ClassVar, Iterator, NamedTuple, Sequence
+
+import numpy as np
 
 from .data_model import ExamineeScores, TestStats
 from .errors import RangeError, ShapeError, ZeroVariance
 
 __all__ = [
+    "RowBlock",
+    "BinBlock",
     "TrueScoreRow",
     "TrueScoreTable",
     "EstimatorComparisonRow",
@@ -36,6 +45,78 @@ __all__ = [
 _KINDS = ("classical", "split_half")
 
 
+def _tolist(column) -> list:
+    return column.tolist() if isinstance(column, np.ndarray) else list(column)
+
+
+@dataclass(frozen=True)
+class RowBlock:
+    """The ``rows`` entry of a table's ``to_dict()``, kept as columns.
+
+    ``columns[k]`` holds the values of ``fields[k]``, one per row.
+    ``tolist()`` gives the list of row dicts the block stands for; the
+    CLI's JSON writer renders it straight from the columns.
+    """
+
+    fields: tuple[str, ...]
+    columns: tuple
+
+    def column_lists(self) -> Iterator[list]:
+        """Each column as a list of Python scalars, converted as it is reached."""
+        return map(_tolist, self.columns)
+
+    def tolist(self) -> list[dict]:
+        return [dict(zip(self.fields, values)) for values in zip(*self.column_lists())]
+
+
+class BinBlock(dict):
+    """The ``bins`` entry of ``TrueScoreTable.to_dict()``: ``str(k)`` -> id list.
+
+    A plain dict in every respect; its type tells the CLI's JSON writer
+    that it may render the id lists from one template.
+    """
+
+
+class _ColumnTable:
+    """Per-examinee columns named by the fields of ``_row_type``."""
+
+    _row_type: ClassVar[type]
+
+    def __post_init__(self) -> None:
+        for name in self._row_type._fields:
+            column = getattr(self, name)
+            if isinstance(column, np.ndarray):
+                column.setflags(write=False)
+
+    @property
+    def n_examinees(self) -> int:
+        return len(self.observed)
+
+    @property
+    def rows(self) -> tuple:
+        """One row tuple per examinee, built from the columns on each access."""
+        return tuple(map(self._row_type._make, zip(*self._row_block().column_lists())))
+
+    def _row_block(self) -> RowBlock:
+        fields = self._row_type._fields
+        return RowBlock(fields, tuple(getattr(self, name) for name in fields))
+
+
+def _observed(x: ExamineeScores, stats: TestStats) -> np.ndarray:
+    observed = np.asarray(x.totals, dtype=np.int64)
+    if stats.N != observed.size:
+        raise ShapeError(f"stats describe {stats.N} examinees but scores have {observed.size}")
+    return observed
+
+
+def _ids(ids: Sequence[int | str] | None, n_ex: int) -> np.ndarray | tuple:
+    if ids is None:
+        return np.arange(n_ex)
+    if len(ids) != n_ex:
+        raise ShapeError(f"got {len(ids)} ids for {n_ex} examinees")
+    return tuple(ids)
+
+
 class TrueScoreRow(NamedTuple):
     examinee_id: int | str
     observed: int
@@ -46,11 +127,23 @@ class TrueScoreRow(NamedTuple):
     out_of_range: bool
 
 
-@dataclass(frozen=True)
-class TrueScoreTable:
-    """Estimates for one administration under one reliability figure."""
+@dataclass(frozen=True, eq=False)
+class TrueScoreTable(_ColumnTable):
+    """Estimates for one administration under one reliability figure.
 
-    rows: tuple[TrueScoreRow, ...]
+    The first seven fields are columns, one value per examinee, in the
+    order and with the names of ``TrueScoreRow``'s fields.
+    """
+
+    _row_type: ClassVar[type] = TrueScoreRow
+
+    examinee_id: np.ndarray | tuple
+    observed: np.ndarray
+    estimate: np.ndarray
+    low: np.ndarray
+    high: np.ndarray
+    prediction_error: np.ndarray
+    out_of_range: np.ndarray
     alpha1: float
     beta1: float
     S_E: float
@@ -63,17 +156,21 @@ class TrueScoreTable:
     def __post_init__(self) -> None:
         if self.reliability_kind not in _KINDS:
             raise RangeError(f"unknown reliability kind {self.reliability_kind!r}")
-
-    @property
-    def n_examinees(self) -> int:
-        return len(self.rows)
+        super().__post_init__()
 
     def bin_lookup(self) -> dict[int, list]:
-        """Which examinees land in each unit-width estimate bin [k, k+1)."""
-        out: dict[int, list] = {}
-        for row in self.rows:
-            out.setdefault(math.floor(row.estimate), []).append(row.examinee_id)
-        return dict(sorted(out.items()))
+        """Which examinees land in each unit-width estimate bin [k, k+1).
+
+        Bins are in ascending order of k and ids in row order within a bin.
+        """
+        keys = np.floor(self.estimate)
+        order = np.argsort(keys, kind="stable")
+        bin_keys, starts = np.unique(keys[order], return_index=True)
+        ids = _tolist(self.examinee_id)
+        ids = [ids[i] for i in order.tolist()]
+        starts = starts.tolist()
+        bounds = zip(starts, [*starts[1:], len(ids)])
+        return {int(k): ids[a:b] for k, (a, b) in zip(bin_keys.tolist(), bounds)}
 
     def to_dict(self) -> dict:
         return {
@@ -84,8 +181,8 @@ class TrueScoreTable:
             "prediction_error_variance": self.prediction_error_variance,
             "prediction_error_gap": self.prediction_error_gap,
             "n_items": self.n_items,
-            "rows": [row._asdict() for row in self.rows],
-            "bins": {str(k): ids for k, ids in self.bin_lookup().items()},
+            "rows": self._row_block(),
+            "bins": BinBlock((str(k), ids) for k, ids in self.bin_lookup().items()),
             "warnings": list(self.warnings),
         }
 
@@ -94,8 +191,7 @@ class TrueScoreTable:
         buf = io.StringIO()
         writer = csv.writer(buf)
         writer.writerow(TrueScoreRow._fields)
-        for row in self.rows:
-            writer.writerow(row)
+        writer.writerows(zip(*self._row_block().column_lists()))
         text = buf.getvalue()
         if dest is None:
             return text
@@ -118,50 +214,39 @@ def estimate_true_scores(
 
     ``r`` is the reliability to regress with and ``kind`` records where
     it came from ("classical" or "split_half").  ``ids`` labels the rows;
-    defaults to 0-based positions.
+    defaults to 0-based positions.  Per row, with X as a float:
+    estimate = alpha1 + beta1 * X, low/high = estimate -/+ S_E and
+    prediction_error = |X - mean| * (1 - beta1).
     """
     if not 0.0 <= r <= 1.0:
         raise RangeError(f"reliability must lie in [0, 1], got {r}")
     if kind not in _KINDS:
         raise RangeError(f"unknown reliability kind {kind!r}")
-    observed = [int(v) for v in x.totals]
-    n_ex = len(observed)
-    if stats.N != n_ex:
-        raise ShapeError(f"stats describe {stats.N} examinees but scores have {n_ex}")
+    observed = _observed(x, stats)
     if not stats.variance > 0.0:
         raise ZeroVariance("observed-score variance is zero, estimation undefined")
-    if ids is None:
-        ids = list(range(n_ex))
-    elif len(ids) != n_ex:
-        raise ShapeError(f"got {len(ids)} ids for {n_ex} examinees")
+    ids = _ids(ids, observed.size)
 
     mean = stats.mean
     beta1 = float(r)
     alpha1 = mean * (1.0 - beta1)
     s_e = math.sqrt((1.0 - beta1) * stats.variance)
 
-    rows = []
-    oor = 0
-    for ident, score in zip(ids, observed):
-        est = alpha1 + beta1 * score
-        outside = est < 0.0 or est > stats.n
-        oor += outside
-        rows.append(
-            TrueScoreRow(
-                examinee_id=ident,
-                observed=score,
-                estimate=est,
-                low=est - s_e,
-                high=est + s_e,
-                prediction_error=abs(score - mean) * (1.0 - beta1),
-                out_of_range=outside,
-            )
-        )
+    score = observed.astype(np.float64)
+    estimate = alpha1 + beta1 * score
+    out_of_range = (estimate < 0.0) | (estimate > stats.n)
+    oor = int(np.count_nonzero(out_of_range))
     warnings = []
     if oor:
         warnings.append(f"{oor} estimate(s) fall outside the score range [0, {stats.n}]")
     return TrueScoreTable(
-        rows=tuple(rows),
+        examinee_id=ids,
+        observed=observed,
+        estimate=estimate,
+        low=estimate - s_e,
+        high=estimate + s_e,
+        prediction_error=np.abs(score - mean) * (1.0 - beta1),
+        out_of_range=out_of_range,
         alpha1=alpha1,
         beta1=beta1,
         S_E=s_e,
@@ -180,16 +265,22 @@ class EstimatorComparisonRow(NamedTuple):
     sign: int
 
 
-@dataclass(frozen=True)
-class EstimatorComparison:
+@dataclass(frozen=True, eq=False)
+class EstimatorComparison(_ColumnTable):
     """Split-half minus classical estimate, row by row.
 
     The difference collapses to (X - mean) * (r_gh - r_tt), so its sign
     is the sign of (X - mean) whenever r_gh >= r_tt and flips otherwise.
-    Signs are computed in exact integer arithmetic.
+    Signs are computed in exact integer arithmetic.  The first four
+    fields are columns, named as ``EstimatorComparisonRow``'s fields.
     """
 
-    rows: tuple[EstimatorComparisonRow, ...]
+    _row_type: ClassVar[type] = EstimatorComparisonRow
+
+    examinee_id: np.ndarray | tuple
+    observed: np.ndarray
+    difference: np.ndarray
+    sign: np.ndarray
     r_tt: float
     r_gh: float
     warnings: tuple[str, ...]
@@ -198,7 +289,7 @@ class EstimatorComparison:
         return {
             "r_tt": self.r_tt,
             "r_gh": self.r_gh,
-            "rows": [row._asdict() for row in self.rows],
+            "rows": self._row_block(),
             "warnings": list(self.warnings),
         }
 
@@ -214,31 +305,17 @@ def compare_estimators(
     r_gh: float,
     ids: Sequence[int | str] | None = None,
 ) -> EstimatorComparison:
-    """Tabulate T_hat_split_half - T_hat_classical for every examinee."""
-    observed = [int(v) for v in x.totals]
-    n_ex = len(observed)
-    if stats.N != n_ex:
-        raise ShapeError(f"stats describe {stats.N} examinees but scores have {n_ex}")
-    if ids is None:
-        ids = list(range(n_ex))
-    elif len(ids) != n_ex:
-        raise ShapeError(f"got {len(ids)} ids for {n_ex} examinees")
+    """Tabulate T_hat_split_half - T_hat_classical for every examinee.
 
-    total = sum(observed)
+    Per row, with X as a float: difference = (X - mean) * (r_gh - r_tt).
+    """
+    observed = _observed(x, stats)
+    n_ex = observed.size
+    ids = _ids(ids, n_ex)
+    total = int(observed.sum())
     spread = r_gh - r_tt
-    sign_spread = _sign(spread)
-    rows = []
-    for ident, score in zip(ids, observed):
-        # sign(X - mean) from integers: N*X - total never rounds
-        sign_dev = _sign(n_ex * score - total)
-        rows.append(
-            EstimatorComparisonRow(
-                examinee_id=ident,
-                observed=score,
-                difference=(score - stats.mean) * spread,
-                sign=sign_dev * sign_spread,
-            )
-        )
+    # sign(X - mean) from integers: N*X - total never rounds
+    sign = np.sign(n_ex * observed - total) * _sign(spread)
     warnings = []
     if spread < 0.0:
         warnings.append(
@@ -246,13 +323,19 @@ def compare_estimators(
             "comparison directions are reversed"
         )
     return EstimatorComparison(
-        rows=tuple(rows), r_tt=r_tt, r_gh=r_gh, warnings=tuple(warnings)
+        examinee_id=ids,
+        observed=observed,
+        difference=(observed - stats.mean) * spread,
+        sign=sign,
+        r_tt=r_tt,
+        r_gh=r_gh,
+        warnings=tuple(warnings),
     )
 
 
 def percentile_rank(table: TrueScoreTable, t: float) -> float:
     """Empirical-CDF percentile of estimate t: 100 * #(T_hat <= t) / N."""
-    if not table.rows:
+    if not table.n_examinees:
         raise ShapeError("percentile rank needs a nonempty table")
-    count = sum(1 for row in table.rows if row.estimate <= t)
+    count = int(np.count_nonzero(table.estimate <= t))
     return 100.0 * count / table.n_examinees

@@ -124,6 +124,19 @@ def test_truescore_table_and_percentile(schema, matrix_csv):
     assert rep["comparison"]["rows"][0].keys() >= {"observed", "difference", "sign"}
 
 
+def test_truescore_with_a_constant_half_writes_null_differences(schema, tmp_path):
+    # items 1-2 give every examinee one point and items 3-4 give 0 or 2,
+    # so the balanced split has a constant g half: r_gh is NaN and r_tt 0
+    p = tmp_path / "constant-half.csv"
+    p.write_text("1,0,1,1\n1,0,1,1\n1,0,0,0\n1,0,0,0\n0,1,1,1\n0,1,0,0\n")
+    rep = run_json(schema, "truescore", "--input", str(p))["report"]
+    assert rep["reliability"]["r_gh"] is None
+    assert rep["reliability"]["r_tt"] == 0.0
+    rows = rep["comparison"]["rows"]
+    assert len(rows) == 6
+    assert all(row["difference"] is None and row["sign"] == 0 for row in rows)
+
+
 def test_truescore_csv_lists_every_examinee(matrix_csv):
     code, out, _ = run_cli("truescore", "--input", matrix_csv, "--format", "csv")
     assert code == 0

@@ -46,6 +46,14 @@ def test_matrix_rejects_non_binary_with_cell_location():
     assert "column 2" in str(err.value)
 
 
+@pytest.mark.parametrize("value", [0.5, -1, 256])
+def test_matrix_rejects_fractional_negative_and_wrapping_values(value):
+    # 256 would wrap to 0 in int8; the message names the first bad cell
+    bad = [[0, 1, 1], [1, value, value]]
+    with pytest.raises(DomainViolation, match="row 2, column 2"):
+        ScoreMatrix(bad)
+
+
 def test_matrix_rejects_wrong_shapes():
     with pytest.raises(ShapeError):
         ScoreMatrix([1, 0, 1])

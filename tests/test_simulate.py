@@ -16,6 +16,7 @@ from splitrel import (
     split,
     sub_test_scores,
 )
+from splitrel import simulate
 from splitrel.cli import scaling_suite
 
 from conftest import reference_probabilities
@@ -39,6 +40,14 @@ def reference_matrix(kind: str, N: int, n: int, seed: int) -> np.ndarray:
 def test_generate_reproduces_documented_protocol(kind):
     m = generate(SimModel(kind, 40, 12, seed=902))
     assert np.array_equal(m.entries, reference_matrix(kind, 40, 12, 902))
+
+
+@pytest.mark.parametrize("kind", ["D1", "D2", "D3", "D4"])
+def test_row_chunked_draws_equal_one_block(kind, monkeypatch):
+    # 40 x 12 in blocks of 7 rows (84 cells) and a ragged last block
+    monkeypatch.setattr(simulate, "_CHUNK_CELLS", 84)
+    m = generate(SimModel(kind, 40, 12, seed=903))
+    assert np.array_equal(m.entries, reference_matrix(kind, 40, 12, 903))
 
 
 def test_generate_is_deterministic_and_seed_sensitive():

@@ -1,0 +1,145 @@
+"""The per-examinee tables on the CLI's output paths, against row references.
+
+``TrueScoreTable`` and ``EstimatorComparison`` hold columns, and
+``cli._dump`` renders their ``rows`` and ``bins`` blocks from one
+template per row.  The property tests build random tables and require
+the exact bytes that ``json.dumps(..., indent=2, sort_keys=True)``
+writes for the same report built from the rows' ``_asdict()``, and the
+bytes of a ``csv.writer`` loop over the rows for ``to_csv``.
+"""
+
+import csv
+import io
+import json
+import math
+from contextlib import redirect_stdout
+
+import numpy as np
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+
+from splitrel import EstimatorComparison, TrueScoreRow, TrueScoreTable
+from splitrel.cli import _dump, _json_safe
+
+PROPERTY = settings(
+    max_examples=200, deadline=None, suppress_health_check=[HealthCheck.too_slow]
+)
+
+ID_TEXT = st.text(alphabet=st.sampled_from('ab"\\/\x00\x1f\t\n é€😀 '), max_size=6)
+FINITE = st.floats(-1e6, 1e6) | st.sampled_from([-0.0, 0.0, 1e-300, 0.1, 2.5e15])
+ANY_FLOAT = FINITE | st.sampled_from([math.nan, math.inf, -math.inf])
+# None stands for the default ids, the 0-based row positions
+ID_KINDS = {
+    "positions": None,
+    "int": st.integers(),
+    "str": ID_TEXT,
+    "mixed": st.integers() | ID_TEXT,
+}
+
+
+@st.composite
+def tables(draw):
+    """A table and a comparison over the same rows, ids and observed scores."""
+    n_rows = draw(st.integers(1, 25))
+
+    def column(values):
+        return draw(st.lists(values, min_size=n_rows, max_size=n_rows))
+
+    ids = ID_KINDS[draw(st.sampled_from(sorted(ID_KINDS)))]
+    ids = np.arange(n_rows) if ids is None else tuple(column(ids))
+    observed = np.array(column(st.integers(0, 60)), dtype=np.int64)
+    table = TrueScoreTable(
+        examinee_id=ids,
+        observed=observed,
+        estimate=np.array(column(FINITE)),
+        low=np.array(column(ANY_FLOAT)),
+        high=np.array(column(ANY_FLOAT)),
+        prediction_error=np.array(column(ANY_FLOAT)),
+        out_of_range=np.array(column(st.booleans())),
+        alpha1=draw(ANY_FLOAT),
+        beta1=draw(FINITE),
+        S_E=draw(FINITE),
+        reliability_kind=draw(st.sampled_from(["classical", "split_half"])),
+        prediction_error_variance=draw(FINITE),
+        prediction_error_gap=draw(FINITE),
+        n_items=draw(st.integers(2, 60)),
+        warnings=tuple(draw(st.lists(ID_TEXT, max_size=2))),
+    )
+    # r_gh may be undefined (NaN) or below r_tt, as on degenerate splits
+    r_tt = draw(st.floats(-1.0, 1.0))
+    r_gh = draw(st.floats(-1.0, 1.0) | st.just(math.nan))
+    spread = r_gh - r_tt
+    mean = float(observed.mean())
+    comparison = EstimatorComparison(
+        examinee_id=ids,
+        observed=observed,
+        difference=np.array([(x - mean) * spread for x in observed.tolist()]),
+        sign=np.array(column(st.sampled_from([-1, 0, 1])), dtype=np.int64),
+        r_tt=r_tt,
+        r_gh=r_gh,
+        warnings=(),
+    )
+    return table, comparison
+
+
+def reference_bins(table):
+    bins = {}
+    for row in table.rows:
+        bins.setdefault(math.floor(row.estimate), []).append(row.examinee_id)
+    return {str(k): ids for k, ids in sorted(bins.items())}
+
+
+@PROPERTY
+@given(tables(), st.none() | FINITE)
+def test_writers_produce_the_bytes_of_the_row_references(pair, percentile):
+    table, comparison = pair
+    body = {
+        "table": table.to_dict(),
+        "comparison": comparison.to_dict(),
+        "percentile": percentile,
+    }
+    reference_table = dict(body["table"])
+    reference_table["rows"] = [row._asdict() for row in table.rows]
+    reference_table["bins"] = reference_bins(table)
+    reference_comparison = dict(body["comparison"])
+    reference_comparison["rows"] = [row._asdict() for row in comparison.rows]
+    reference = {
+        "report": {
+            "table": reference_table,
+            "comparison": reference_comparison,
+            "percentile": percentile,
+        },
+        "tool": "splitrel",
+    }
+    expected = json.dumps(_json_safe(reference), indent=2, sort_keys=True) + "\n"
+    out = io.StringIO()
+    with redirect_stdout(out):
+        _dump({"report": body, "tool": "splitrel"}, None)
+    assert out.getvalue() == expected
+
+    buf = io.StringIO()
+    writer = csv.writer(buf)
+    writer.writerow(TrueScoreRow._fields)
+    for row in table.rows:
+        writer.writerow(row)
+    assert table.to_csv() == buf.getvalue()
+
+
+def test_row_block_lists_the_row_dicts():
+    table = TrueScoreTable(
+        examinee_id=("a", "b"),
+        observed=np.array([3, 5]),
+        estimate=np.array([3.5, 4.5]),
+        low=np.array([3.0, 4.0]),
+        high=np.array([4.0, 5.0]),
+        prediction_error=np.array([0.5, 0.5]),
+        out_of_range=np.array([False, True]),
+        alpha1=0.0, beta1=0.5, S_E=0.5, reliability_kind="classical",
+        prediction_error_variance=0.25, prediction_error_gap=0.0, n_items=4,
+        warnings=(),
+    )
+    d = table.to_dict()
+    assert d["rows"].tolist() == [row._asdict() for row in table.rows]
+    assert d["bins"] == {"3": ["a"], "4": ["b"]}
+    assert type(table.rows[1].out_of_range) is bool
+    assert type(table.rows[1].observed) is int

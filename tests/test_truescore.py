@@ -181,3 +181,44 @@ def test_compare_matches_direct_table_subtraction():
         assert row.difference == pytest.approx(
             h_row.estimate - c_row.estimate, abs=1e-9
         )
+
+
+def _sign(v):
+    return (v > 0) - (v < 0)
+
+
+@pytest.mark.parametrize("r_tt,r_gh", [(0.8307, 0.9113), (0.7741, 0.6172)])
+def test_columns_equal_the_row_formulas_exactly(r_tt, r_gh):
+    # the row-by-row formulas the columns replaced, in Python floats
+    rng = np.random.default_rng(20000)
+    x = rng.binomial(50, rng.random(20000))
+    st = make_stats(x, 50)
+    scores = x.tolist()
+    table = estimate_true_scores(ExamineeScores(x), st, r_tt, "classical")
+    comp = compare_estimators(ExamineeScores(x), st, r_tt, r_gh)
+
+    alpha1 = st.mean * (1.0 - r_tt)
+    s_e = math.sqrt((1.0 - r_tt) * st.variance)
+    estimate = [alpha1 + r_tt * score for score in scores]
+    assert table.estimate.tolist() == estimate
+    assert table.low.tolist() == [est - s_e for est in estimate]
+    assert table.high.tolist() == [est + s_e for est in estimate]
+    assert table.prediction_error.tolist() == [
+        abs(score - st.mean) * (1.0 - r_tt) for score in scores
+    ]
+    assert table.out_of_range.tolist() == [est < 0.0 or est > 50 for est in estimate]
+
+    spread = r_gh - r_tt
+    total = sum(scores)
+    assert comp.difference.tolist() == [(score - st.mean) * spread for score in scores]
+    assert comp.sign.tolist() == [
+        _sign(len(scores) * score - total) * _sign(spread) for score in scores
+    ]
+
+    bins = {}
+    for ident, est in enumerate(estimate):
+        bins.setdefault(math.floor(est), []).append(ident)
+    assert table.bin_lookup() == dict(sorted(bins.items()))
+    for t in (estimate[0], st.mean, -1.0, 51.0):
+        count = sum(1 for est in estimate if est <= t)
+        assert percentile_rank(table, t) == 100.0 * count / len(scores)
