@@ -36,6 +36,7 @@ from .data_model import (
     write_score_matrix,
 )
 from .errors import (
+    CrossCheckFailed,
     DegeneracyError,
     Degenerate,
     DomainViolation,
@@ -91,6 +92,7 @@ __all__ = [
     "ZeroVariance",
     "SingularMatrix",
     "Degenerate",
+    "CrossCheckFailed",
     # data model
     "ScoreMatrix",
     "ItemScores",

@@ -8,7 +8,7 @@ effective parameters.  Nothing time-dependent goes into a report, so a
 rerun on the same inputs writes byte-identical output.
 
 Exit codes: 0 success, 1 usage or validation error, 2 degenerate
-computation (zero variance, singular covariance matrix).
+computation (zero variance, singular matrix, failed cross-check).
 """
 
 from __future__ import annotations
@@ -17,11 +17,10 @@ import argparse
 import hashlib
 import json
 import math
-import re
 import sys
 import time
 from importlib import resources
-from typing import NamedTuple
+from typing import Iterator, NamedTuple
 
 import numpy as np
 
@@ -55,7 +54,6 @@ from .reliability import (
 from .simulate import SimModel, generate
 from .splitter import SplitResult, split
 from .truescore import (
-    BinBlock,
     RowBlock,
     compare_estimators,
     estimate_true_scores,
@@ -144,31 +142,6 @@ def scaling_suite(
     return rows
 
 
-def _json_safe(obj, blocks: list | None = None):
-    """Recursively strip JSON-hostile values: numpy scalars, NaN, inf.
-
-    With ``blocks`` given, each ``RowBlock`` and ``BinBlock`` is appended
-    to it and replaced by a marker string that ``_dump`` swaps for the
-    block's text.
-    """
-    if blocks is not None and isinstance(obj, (RowBlock, BinBlock)):
-        blocks.append(obj)
-        return f"\0{len(blocks) - 1}"
-    if isinstance(obj, dict):
-        return {str(k): _json_safe(v, blocks) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_json_safe(v, blocks) for v in obj]
-    if isinstance(obj, (np.integer,)):
-        return int(obj)
-    if isinstance(obj, (np.floating,)):
-        obj = float(obj)
-    if isinstance(obj, float) and not math.isfinite(obj):
-        return None
-    if isinstance(obj, np.ndarray):
-        return [_json_safe(v, blocks) for v in obj.tolist()]
-    return obj
-
-
 def _sha256(path: str) -> str:
     digest = hashlib.sha256()
     with open(path, "rb") as fh:
@@ -213,48 +186,52 @@ def _json_values(values: list) -> list[str]:
         return list(map(float.__repr__, values))
     if kinds <= {bool}:
         return ["true" if v else "false" for v in values]
-    return [json.dumps(_json_safe(v)) for v in values]
+    values = [v.item() if isinstance(v, np.generic) else v for v in values]
+    return [
+        "null" if isinstance(v, float) and not math.isfinite(v) else json.dumps(v) for v in values
+    ]
 
 
-def _json_container(items: list[str], indent: str, brackets: str = "[]") -> str:
-    if not items:
-        return brackets
-    return brackets[0] + "\n" + ",\n".join(items) + "\n" + indent + brackets[1]
-
-
-def _render_block(block, indent: str) -> str:
-    """The text ``json.dumps(indent=2, sort_keys=True)`` writes for the
-    plain value of ``block`` when its opening bracket sits on a line
-    indented by ``indent``; each row or id is filled into one template."""
-    inner = indent + "  "
-    if isinstance(block, BinBlock):
-        bins = [
-            f"{inner}{json.dumps(key)}: "
-            + _json_container([f"{inner}  {v}" for v in _json_values(ids)], inner)
-            for key, ids in sorted(block.items())
-        ]
-        return _json_container(bins, indent, "{}")
+def _json_rows(block: RowBlock, indent: str) -> list[str]:
+    """Each row dict of ``block`` as JSON text, filled into one template;
+    unjoined, so that the column texts are freed before the join."""
     order = sorted(range(len(block.fields)), key=block.fields.__getitem__)
-    fields = ",\n".join(f"{inner}  {json.dumps(block.fields[k])}: %s" for k in order)
-    template = f"{inner}{{\n{fields}\n{inner}}}"
+    keys = [json.dumps(block.fields[k]).replace("%", "%%") for k in order]
+    template = "{\n" + ",\n".join(f"{indent}  {key}: %s" for key in keys) + f"\n{indent}}}"
     columns = [_json_values(values) for values in block.column_lists()]
-    rows = zip(*(columns[k] for k in order))
-    return _json_container(list(map(template.__mod__, rows)), indent)
+    return list(map(template.__mod__, zip(*(columns[k] for k in order))))
+
+
+def _json(obj, indent: str) -> Iterator[str]:
+    """The text ``json.dumps(obj, indent=2, sort_keys=True)`` writes for
+    ``obj`` on a line indented by ``indent``, in pieces: dict keys as
+    ``str(k)``, numpy scalars as Python ones, NaN and inf as ``null``.  A
+    ``RowBlock`` (as its row dicts) or a list of scalars is one piece."""
+    if isinstance(obj, np.ndarray):
+        obj = obj.tolist()
+    inner = indent + "  "
+    if isinstance(obj, dict):
+        items = {str(k): v for k, v in obj.items()}
+        for n, key in enumerate(sorted(items)):
+            yield f"{',' if n else '{'}\n{inner}{json.dumps(key)}: "
+            yield from _json(items[key], inner)
+        yield f"\n{indent}}}" if items else "{}"
+    elif not isinstance(obj, (list, tuple, RowBlock)):
+        yield _json_values([obj])[0]
+    elif isinstance(obj, RowBlock) or not any(
+        isinstance(v, (dict, list, tuple, np.ndarray, RowBlock)) for v in obj
+    ):
+        items = _json_rows(obj, inner) if isinstance(obj, RowBlock) else _json_values(obj)
+        yield (f"[\n{inner}" + f",\n{inner}".join(items) + f"\n{indent}]") if items else "[]"
+    else:
+        for n, value in enumerate(obj):
+            yield f"{',' if n else '['}\n{inner}"
+            yield from _json(value, inner)
+        yield f"\n{indent}]"
 
 
 def _dump(envelope: dict, output: str | None) -> None:
-    # the per-examinee blocks leave a marker that starts with NUL, which
-    # no other string of a report can hold: argv and paths cannot, and
-    # the rest is the program's own text
-    blocks: list = []
-    text = json.dumps(_json_safe(envelope, blocks), indent=2, sort_keys=True) + "\n"
-
-    def splice(marker: re.Match) -> str:
-        line = text[text.rfind("\n", 0, marker.start()) + 1 : marker.start()]
-        indent = line[: len(line) - len(line.lstrip(" "))]
-        return _render_block(blocks[int(marker[1])], indent)
-
-    _emit(re.sub(r'"\\u0000(\d+)"', splice, text) if blocks else text, output)
+    _emit("".join([*_json(envelope, ""), "\n"]), output)
 
 
 def load_schema() -> dict:

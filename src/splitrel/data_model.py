@@ -28,7 +28,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainViolation, RangeError, ShapeError, TooSmall
+from .errors import CrossCheckFailed, DomainViolation, RangeError, ShapeError, TooSmall
 
 __all__ = [
     "ScoreMatrix",
@@ -418,9 +418,9 @@ def descriptive_stats(x: ExamineeScores, n: int) -> TestStats:
         sin_sq = (n_examinees * sum_sq - total * total) / (n_examinees * sum_sq)
         var_geo = sum_sq * sin_sq / n_examinees
         if not math.isclose(mean_geo, mean, rel_tol=_REL_TOL, abs_tol=1e-12):
-            raise ArithmeticError("geometric and direct means disagree beyond tolerance")
+            raise CrossCheckFailed("geometric and direct means disagree beyond tolerance")
         if not math.isclose(var_geo, variance, rel_tol=_REL_TOL, abs_tol=1e-9):
-            raise ArithmeticError("geometric and direct variances disagree beyond tolerance")
+            raise CrossCheckFailed("geometric and direct variances disagree beyond tolerance")
 
     return TestStats(
         mean=mean,

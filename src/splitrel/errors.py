@@ -18,6 +18,7 @@ __all__ = [
     "ZeroVariance",
     "SingularMatrix",
     "Degenerate",
+    "CrossCheckFailed",
 ]
 
 
@@ -63,3 +64,7 @@ class SingularMatrix(DegeneracyError):
 
 class Degenerate(DegeneracyError):
     """No meaningful solution exists for this configuration."""
+
+
+class CrossCheckFailed(DegeneracyError):
+    """Two routes to the same statistic disagree beyond their tolerance."""

@@ -21,7 +21,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .data_model import ScoreMatrix, TestStats, _frozen_int_array, mean_from_norms
-from .errors import RangeError, ShapeError, TooSmall, ZeroVariance
+from .errors import CrossCheckFailed, RangeError, ShapeError, TooSmall, ZeroVariance
 from .splitter import Assignment
 
 __all__ = [
@@ -200,7 +200,7 @@ def true_score_geometry(stats: TestStats, r_tt: float) -> TrueScoreGeometry:
     cos_t = (stats.norm_X / norm_t) * stats.cos_theta_X
     via_angle = mean_from_norms(norm_t, cos_t, stats.N)
     if not math.isclose(via_angle, stats.mean, rel_tol=1e-9, abs_tol=1e-12):
-        raise ArithmeticError(
+        raise CrossCheckFailed(
             f"true-score mean routes disagree: {via_angle} vs {stats.mean}"
         )
     return TrueScoreGeometry(s_t_sq, norm_t, cos_t)

@@ -32,7 +32,6 @@ from .errors import RangeError, ShapeError, ZeroVariance
 
 __all__ = [
     "RowBlock",
-    "BinBlock",
     "TrueScoreRow",
     "TrueScoreTable",
     "EstimatorComparisonRow",
@@ -67,14 +66,6 @@ class RowBlock:
 
     def tolist(self) -> list[dict]:
         return [dict(zip(self.fields, values)) for values in zip(*self.column_lists())]
-
-
-class BinBlock(dict):
-    """The ``bins`` entry of ``TrueScoreTable.to_dict()``: ``str(k)`` -> id list.
-
-    A plain dict in every respect; its type tells the CLI's JSON writer
-    that it may render the id lists from one template.
-    """
 
 
 class _ColumnTable:
@@ -182,25 +173,17 @@ class TrueScoreTable(_ColumnTable):
             "prediction_error_gap": self.prediction_error_gap,
             "n_items": self.n_items,
             "rows": self._row_block(),
-            "bins": BinBlock((str(k), ids) for k, ids in self.bin_lookup().items()),
+            "bins": {str(k): ids for k, ids in self.bin_lookup().items()},
             "warnings": list(self.warnings),
         }
 
-    def to_csv(self, dest=None) -> str | None:
-        """Write one CSV row per examinee; returns the text if dest is None."""
+    def to_csv(self) -> str:
+        """One CSV row per examinee, after a header of the row fields."""
         buf = io.StringIO()
         writer = csv.writer(buf)
         writer.writerow(TrueScoreRow._fields)
         writer.writerows(zip(*self._row_block().column_lists()))
-        text = buf.getvalue()
-        if dest is None:
-            return text
-        if hasattr(dest, "write"):
-            dest.write(text)
-            return None
-        with open(dest, "w", encoding="utf-8", newline="") as fh:
-            fh.write(text)
-        return None
+        return buf.getvalue()
 
 
 def estimate_true_scores(

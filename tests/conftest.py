@@ -1,5 +1,8 @@
 """Shared fixtures: the published item-total table, the simulator's
-reference probabilities and the acceptance recorder."""
+reference probabilities, the JSON writer's reference and the acceptance
+recorder."""
+
+import math
 
 import numpy as np
 import pytest
@@ -37,6 +40,25 @@ def column_fill(totals, n_examinees: int) -> ScoreMatrix:
     for j, t in enumerate(totals):
         m[:t, j] = 1
     return ScoreMatrix(m)
+
+
+def json_safe(obj):
+    """``obj`` with numpy scalars as Python ones, NaN and inf as None and
+    dict keys as ``str(k)``: with ``json.dumps(..., indent=2,
+    sort_keys=True)`` the reference for the CLI's JSON writer."""
+    if isinstance(obj, dict):
+        return {str(k): json_safe(v) for k, v in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return [json_safe(v) for v in obj]
+    if isinstance(obj, (np.integer,)):
+        return int(obj)
+    if isinstance(obj, (np.floating,)):
+        obj = float(obj)
+    if isinstance(obj, float) and not math.isfinite(obj):
+        return None
+    if isinstance(obj, np.ndarray):
+        return [json_safe(v) for v in obj.tolist()]
+    return obj
 
 
 @pytest.fixture

@@ -11,7 +11,7 @@ import jsonschema
 import numpy as np
 import pytest
 
-from splitrel import ScoreMatrix, write_score_matrix
+from splitrel import ScoreMatrix, data_model, write_score_matrix
 from splitrel.cli import load_schema, main
 
 from conftest import TABLE2_TOTALS, TABLE2_N, column_fill
@@ -282,6 +282,18 @@ def test_near_ceiling_long_test_gets_a_report(schema, tmp_path):
     write_score_matrix(ScoreMatrix(entries), path)
     doc = run_json(schema, "reliability", "--input", str(path))
     assert doc["report"]["stats"]["full"]["n"] == 5000
+
+
+def test_failed_cross_check_is_an_error_line_not_a_traceback(matrix_csv, monkeypatch):
+    # perturb the geometric route to the mean so the stats cross-check fails
+    mean_from_norms = data_model.mean_from_norms
+    monkeypatch.setattr(
+        data_model, "mean_from_norms", lambda *args: mean_from_norms(*args) * (1 + 1e-6)
+    )
+    code, out, err = run_cli("reliability", "--input", matrix_csv)
+    assert code == 2
+    assert out == ""
+    assert err == "error[CrossCheckFailed]: geometric and direct means disagree beyond tolerance\n"
 
 
 def test_near_ceiling_true_score_geometry_gets_a_report(schema, tmp_path):

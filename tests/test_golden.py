@@ -59,6 +59,11 @@ GOLDEN = {
                    "bb4e8ca0dd090bb9f254620c085f248d10729cab7350ba1ac476e52a80596c53"),
     "scale.csv": (SCALE + ("--format", "csv"),
                   "0279fb1927b2bb7bb08f69aedb168eb03b367d193a8709a7d1e894bc0cf853bc"),
+    # a constant g half: null r_gh, F statistics and differences, plus warnings
+    "reliability-null.json": (("reliability", "--input", "c.csv"),
+                              "14fbb22f54d377a6c62d4d5b4606448b3ec12090ad7fcc270ede0394f34b5dc0"),
+    "truescore-null.json": (("truescore", "--input", "c.csv"),
+                            "0e090db195200cb01123035b944fc41392c684f09c6fa57ca913c77859d7f6db"),
 }
 
 
@@ -76,6 +81,7 @@ def fixtures(tmp_path, monkeypatch):
     _write_matrix(tmp_path / "m.csv", rng.random((60, 21)) < ability[:, None])
     for i, n_items in enumerate((12, 15, 10)):
         _write_matrix(tmp_path / f"t{i}.csv", rng.random((60, n_items)) < ability[:, None])
+    (tmp_path / "c.csv").write_text("1,0,1,1\n1,0,1,1\n1,0,0,0\n1,0,0,0\n0,1,1,1\n0,1,0,0\n")
     monkeypatch.chdir(tmp_path)
     return tmp_path
 

@@ -1,0 +1,95 @@
+"""The CLI's one JSON writer, against ``json.dumps`` on the plain value.
+
+``cli._dump`` renders a whole report in one indented pass: dicts with
+``str(k)`` keys, lists and arrays, ``RowBlock``s from one template per
+row, numpy scalars, and NaN or inf as ``null``.  On random nested values
+it must write exactly what ``json.dumps(json_safe(v), indent=2,
+sort_keys=True)`` writes for the same value with every ``RowBlock``
+replaced by its row dicts.
+"""
+
+import io
+import json
+import math
+from contextlib import redirect_stdout
+
+import numpy as np
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+
+from splitrel.cli import _dump
+from splitrel.truescore import RowBlock
+
+from conftest import json_safe
+
+# quotes, backslashes, control characters, non-ASCII text, NUL and the
+# template's own "%" and braces
+TEXT = st.text(alphabet=st.sampled_from('ab"\\/%{}\x00\x01\x1f\t\n é€😀 '), max_size=6)
+INT64 = st.integers(-(2**63), 2**63 - 1)
+SCALARS = (
+    st.none()
+    | st.booleans()
+    | st.integers()
+    | st.floats()
+    | st.sampled_from([math.nan, math.inf, -math.inf, -0.0])
+    | TEXT
+    | INT64.map(np.int64)
+    | st.floats().map(np.float64)
+)
+
+
+def arrays(min_size=0, max_size=4):
+    def of(values, dtype):
+        lists = st.lists(values, min_size=min_size, max_size=max_size)
+        return lists.map(lambda v: np.array(v, dtype=dtype))
+
+    return of(INT64, np.int64) | of(st.floats(), np.float64) | of(st.booleans(), bool)
+
+
+@st.composite
+def row_blocks(draw):
+    """Columns of one length: numpy arrays, or tuples of any scalars as ids are."""
+    fields = draw(st.lists(TEXT, unique=True, max_size=4))
+    n_rows = draw(st.integers(0, 4))
+    ids = st.lists(SCALARS, min_size=n_rows, max_size=n_rows).map(tuple)
+    column = ids | arrays(n_rows, n_rows)
+    return RowBlock(tuple(fields), tuple(draw(column) for _ in fields))
+
+
+VALUES = st.recursive(
+    SCALARS | arrays() | row_blocks(),
+    lambda children: (
+        st.lists(children, max_size=4)
+        | st.lists(children, max_size=3).map(tuple)
+        | st.dictionaries(st.integers(-3, 3) | TEXT, children, max_size=4)
+    ),
+    max_leaves=25,
+)
+
+
+def plain(value):
+    """``value`` with every ``RowBlock`` replaced by its row dicts."""
+    if isinstance(value, RowBlock):
+        return plain(value.tolist())
+    if isinstance(value, dict):
+        return {k: plain(v) for k, v in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [plain(v) for v in value]
+    return value
+
+
+@settings(max_examples=400, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(st.dictionaries(st.integers(-3, 3) | TEXT, VALUES, max_size=5))
+def test_dump_writes_the_bytes_of_json_dumps(envelope):
+    expected = json.dumps(json_safe(plain(envelope)), indent=2, sort_keys=True) + "\n"
+    out = io.StringIO()
+    with redirect_stdout(out):
+        _dump(envelope, None)
+    assert out.getvalue() == expected
+
+
+def test_keys_colliding_as_strings_keep_the_last_value():
+    out = io.StringIO()
+    with redirect_stdout(out):
+        _dump({1: "int", "1": "str", "rows": RowBlock(("a",), (np.array([]),))}, None)
+    assert out.getvalue() == '{\n  "1": "str",\n  "rows": []\n}\n'

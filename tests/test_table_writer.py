@@ -19,7 +19,9 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from splitrel import EstimatorComparison, TrueScoreRow, TrueScoreTable
-from splitrel.cli import _dump, _json_safe
+from splitrel.cli import _dump
+
+from conftest import json_safe as _json_safe
 
 PROPERTY = settings(
     max_examples=200, deadline=None, suppress_health_check=[HealthCheck.too_slow]
