@@ -159,12 +159,9 @@ def f_test_equal_variance(s: SubTestScores) -> tuple[float, float]:
 
     F is the larger sample variance over the smaller, with (N-1, N-1)
     degrees of freedom; the p-value comes from the regularised
-    incomplete beta function.  Note this compares observed sub-test
-    score variances (see the report note).
+    incomplete beta function (``_f_p_value``).  Note this compares
+    observed sub-test score variances (see the report note).
     """
-    # scipy.special takes longer to import than the rest of the package
-    from scipy.special import betainc
-
     n = s.n_examinees
     if n < 3:
         raise TooSmall(f"F-test needs at least 3 examinees, got {n}")
@@ -175,9 +172,72 @@ def f_test_equal_variance(s: SubTestScores) -> tuple[float, float]:
     if lo == 0.0:
         raise ZeroVariance("a sub-test has zero score variance, F-test undefined")
     f = hi / lo
-    nu = n - 1
-    p = min(1.0, 2.0 * float(betainc(nu / 2.0, nu / 2.0, 1.0 / (1.0 + f))))
-    return f, p
+    return f, _f_p_value(f, n - 1)
+
+
+def _log_gamma_half_ratio(a: float) -> float:
+    """log(Gamma(a + 1/2) / Gamma(a)), without lgamma cancellation at large a.
+
+    The asymptotic series is within 2.2e-15 relative at a = 20 and
+    within 2e-16 from a = 25 on.
+    """
+    if a < 20.0:
+        return math.lgamma(a + 0.5) - math.lgamma(a)
+    r = 1.0 / a
+    r2 = r * r
+    return 0.5 * math.log(a) - r * (1 / 8 - r2 * (1 / 192 - r2 * (1 / 640 - r2 * 17 / 14336)))
+
+
+def _cf_term_cap(a: float) -> int:
+    """Continued-fraction terms allowed; the count needed grows slower
+    than sqrt(a) (346 at a = 2.5e5)."""
+    return 50 + int(2.0 * math.sqrt(a))
+
+
+def _f_p_value(f: float, nu: int) -> float:
+    """Two-sided p-value of F >= 1 under F(nu, nu): min(1, 2 I_x(a, a))
+    with a = nu / 2 and x = 1 / (1 + F) <= 1/2.
+
+    The prefactor x^a (1-x)^a / (a B(a, a)) is taken in log space
+    through Legendre's duplication formula,
+    (4x(1-x))^a Gamma(a + 1/2) / (2 sqrt(pi) a Gamma(a)), with
+    1 - 4x(1-x) = ((F-1)/(F+1))^2 rounded once from the exact float F.  The
+    continued fraction is the modified Lentz evaluation of DLMF 8.17.22
+    (Numerical Recipes' ``betacf``), which converges for x <= 1/2.
+    """
+    if f == 1.0:
+        return 1.0  # I_{1/2}(a, a) = 1/2 by symmetry
+    a = nu / 2.0
+    x = 1.0 / (1.0 + f)
+    num, den = f.as_integer_ratio()  # int division rounds correctly
+    d_sq = (num - den) ** 2 / (num + den) ** 2
+    log_4xy = math.log1p(-d_sq) if d_sq < 0.5 else math.log(4 * num * den / (num + den) ** 2)
+    log_front = (
+        a * log_4xy + _log_gamma_half_ratio(a) - math.log(2.0 * math.sqrt(math.pi) * a)
+    )
+
+    def nonzero(v: float) -> float:
+        return 1e-300 if abs(v) < 1e-300 else v
+
+    c = 1.0
+    d = 1.0 / nonzero(1.0 - 2.0 * a * x / (a + 1.0))
+    h = d
+    cap = _cf_term_cap(a)
+    for m in range(1, cap + 1):
+        for coeff in (
+            m * (a - m) * x / ((a - 1.0 + 2 * m) * (a + 2 * m)),
+            -(a + m) * (2.0 * a + m) * x / ((a + 2 * m) * (a + 1.0 + 2 * m)),
+        ):
+            d = 1.0 / nonzero(1.0 + coeff * d)
+            c = nonzero(1.0 + coeff / c)
+            step = d * c
+            h *= step
+        if abs(step - 1.0) < 1e-16:
+            return min(1.0, 2.0 * math.exp(log_front) * h)
+    raise CrossCheckFailed(
+        f"F-test p-value: continued fraction did not converge in {cap} terms "
+        f"(F = {f!r}, nu = {nu})"
+    )
 
 
 def true_score_geometry(stats: TestStats, r_tt: float) -> TrueScoreGeometry:

@@ -36,9 +36,9 @@ GOLDEN = {
                                "--max-iter", "3"),
                               "6ba1f28f088bbf076e5aee248bbd5bad512065a061e5077f6ea26e7ccbcd1711"),
     "reliability.json": (("reliability", "--input", "m.csv", "--bin-width", "3"),
-                         "4a2bf014016d7635455c7fc431b3dc3caae3f6b3cb34dd265b0871f784663bce"),
+                         "c6b98d671fe6062df00d2294653fd0d7fef36aad651ca49494736e9906aae84f"),
     "truescore.json": (("truescore", "--input", "m.csv", "--percentile-of", "12"),
-                       "7bb974048f638b8aa82518942559413642a375c02f798f04b87cb000ad0e1002"),
+                       "a73d5614168da6fb7cbb4a00cef5a7eb25bab293d445e277bdd442dfed492e44"),
     "truescore.csv": (("truescore", "--input", "m.csv", "--format", "csv"),
                       "2f4245ffd91727e77f70851c30c9e268ca10d46f58befc28b484b6721c02234f"),
     "battery-optimal.json": (BATTERY + ("optimal",),

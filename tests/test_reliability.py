@@ -1,15 +1,23 @@
 """Reliability formulas, the F-test, and the person-space geometry."""
 
+import io
+import itertools
 import math
 import os
 import subprocess
 import sys
+from contextlib import redirect_stderr, redirect_stdout
+from fractions import Fraction
 
+import mpmath
 import numpy as np
 import pytest
-from scipy import integrate
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
+from scipy import integrate, special
 
 from splitrel import (
+    Assignment,
     ExamineeScores,
     RangeError,
     ScoreMatrix,
@@ -28,6 +36,9 @@ from splitrel import (
     sub_test_scores,
     true_score_geometry,
 )
+from splitrel import reliability
+from splitrel.cli import main
+from splitrel.reliability import _f_p_value
 
 
 def stats_for(s: SubTestScores, n_items: int):
@@ -123,6 +134,150 @@ def test_f_test_requires_three_examinees_and_variance():
         f_test_equal_variance(SubTestScores(g=[2, 2, 2], h=[0, 1, 2]))
 
 
+# N from 3 to 5e5; F - 1 on a log grid from 1e-9, plus F at fixed depths
+# a * log(4x(1-x)) of the upper tail, down to p near 1e-300
+GRID_N = (3, 4, 5, 6, 7, 10, 15, 20, 30, 41, 60, 100, 333, 1000, 5000, 20000,
+          100000, 500000)
+GRID_F_MINUS_1 = [10.0 ** (k / 4) for k in range(-36, 5)] + [10.0**k for k in range(2, 301, 4)]
+GRID_TAIL_DEPTHS = (2.0, 20.0, 100.0, 300.0, 500.0, 650.0, 685.0)
+
+
+def p_value_40_digits(f: float, nu: int):
+    """min(1, 2 I_x(nu/2, nu/2)) at x = 1/(1+F), as I_{4F/(1+F)^2}(nu/2, 1/2)
+    (DLMF 8.17): mpmath's (a, a) form does not converge for large nu near F = 1."""
+    with mpmath.workdps(40):
+        F = mpmath.mpf(f)
+        z = 4 * F / (1 + F) ** 2
+        return min(mpmath.mpf(1), mpmath.betainc(nu / 2, mpmath.mpf(1) / 2, 0, z, regularized=True))
+
+
+@pytest.fixture(scope="module")
+def p_value_grid():
+    """(N, F, 40-digit p) for every grid case with p >= 1e-300."""
+    cases = []
+    for n in GRID_N:
+        a = (n - 1) / 2
+        tail = []
+        for depth in GRID_TAIL_DEPTHS:
+            d = math.sqrt(-math.expm1(-depth / a))
+            if d < 1.0:
+                tail.append((1.0 + d) / (1.0 - d))
+        for f in sorted(set(tail)):
+            ref = p_value_40_digits(f, n - 1)
+            if ref >= 1e-300:
+                cases.append((n, f, ref))
+        for f in (1.0 + g for g in GRID_F_MINUS_1):
+            ref = p_value_40_digits(f, n - 1)
+            if ref < 1e-300:
+                break  # p falls with F; mpmath can fail far below 1e-300
+            cases.append((n, f, ref))
+    return cases
+
+
+def test_f_p_value_within_1e_12_of_40_digit_oracle(p_value_grid):
+    worst = (0.0, None, None)
+    for n, f, ref in p_value_grid:
+        err = float(abs((_f_p_value(f, n - 1) - ref) / ref))
+        worst = max(worst, (err, n, f))
+    print(f"F-test p-value: {len(p_value_grid)} cases, worst relative error "
+          f"{worst[0]:.3g} at N={worst[1]}, F={worst[2]!r}")
+    assert worst[0] <= 1e-12, worst
+
+
+def test_f_p_value_matches_scipy_betainc(p_value_grid):
+    # scipy's own error on this grid reaches ~2e-12 (it rounds x = 1/(1+F)
+    # first), hence the looser bound for this second oracle
+    worst = (0.0, None, None)
+    for n, f, _ in p_value_grid:
+        a = (n - 1) / 2
+        expect = min(1.0, 2.0 * float(special.betainc(a, a, 1.0 / (1.0 + f))))
+        worst = max(worst, (abs(_f_p_value(f, n - 1) - expect) / expect, n, f))
+    assert worst[0] <= 5e-12, worst
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    n=st.integers(3, 500000),
+    f1=st.floats(1.0, 1e6),
+    f2=st.floats(1.0, 1e6),
+)
+def test_f_p_value_is_a_falling_probability(n, f1, f2):
+    lo, hi = sorted((f1, f2))
+    p_lo, p_hi = _f_p_value(lo, n - 1), _f_p_value(hi, n - 1)
+    assert 0.0 <= p_hi <= 1.0 and 0.0 <= p_lo <= 1.0
+    assert _f_p_value(1.0, n - 1) == 1.0
+    # p does not increase with F, up to the 1e-12 accuracy the oracle pins:
+    # at adjacent floats the true change is below the rounding noise
+    assert p_hi <= p_lo * (1.0 + 1e-12)
+
+
+def test_unconverged_p_value_is_an_error_line(tmp_path, monkeypatch):
+    rng = np.random.default_rng(32)
+    entries = (rng.random((50, 10)) < rng.random((50, 1))).astype(int)
+    path = tmp_path / "m.csv"
+    path.write_text("".join(",".join(map(str, r)) + "\n" for r in entries))
+    monkeypatch.setattr(reliability, "_cf_term_cap", lambda a: 1)
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        code = main(["reliability", "--input", str(path)])
+    assert code == 2
+    assert out.getvalue() == ""
+    lines = err.getvalue().splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error[CrossCheckFailed]: "), lines
+
+
+@st.composite
+def binary_matrix_with_dropped_item(draw):
+    """A 0/1 matrix with n <= 12 items and, for an odd n, the fixed dropped item."""
+    n_items = draw(st.integers(2, 12))
+    n_rows = draw(st.integers(2, 20))
+    rows = draw(st.lists(st.lists(st.integers(0, 1), min_size=n_items, max_size=n_items),
+                         min_size=n_rows, max_size=n_rows))
+    dropped = draw(st.integers(0, n_items - 1)) if n_items % 2 else None
+    return rows, dropped
+
+
+@settings(max_examples=60, deadline=None)
+@given(binary_matrix_with_dropped_item())
+def test_r_tt_is_rulon_less_the_imbalance_and_averages_to_kr20(case):
+    """Over every balanced split of the reduced test, with exact rationals
+    taken straight from the matrix:
+    r_tt = Rulon - (S/N)^2 / Var X, and mean r_tt = KR-20 - mean(S^2) / (N^2 Var X)."""
+    rows, dropped = case
+    items = [j for j in range(len(rows[0])) if j != dropped]
+    k, N = len(items), len(rows)
+    x = [sum(r[j] for j in items) for r in rows]
+    var_x = Fraction(N * sum(v * v for v in x) - sum(x) ** 2, N * N)
+    assume(var_x > 0)
+    totals = [sum(r[j] for r in rows) for j in items]
+    kr20 = Fraction(k, k - 1) * (1 - sum(Fraction(t * (N - t), N * N) for t in totals) / var_x)
+
+    m = ScoreMatrix(rows)
+    exact, computed, s_sq, bound = [], [], [], 0.0
+    # item items[0] stays in g, so each unordered split is counted once
+    for rest in itertools.combinations(items[1:], k // 2 - 1):
+        g = (items[0], *rest)
+        h = tuple(j for j in items if j not in g)
+        diff = [sum(r[j] for j in g) - sum(r[j] for j in h) for r in rows]
+        S = sum(diff)
+        var_d = Fraction(N * sum(v * v for v in diff) - S * S, N * N)
+        rulon = 1 - var_d / var_x
+        exact.append(rulon - Fraction(S, N) ** 2 / var_x)
+        s_sq.append(S * S)
+
+        scores = sub_test_scores(m, Assignment(g, h, dropped))
+        report = classical_reliability(scores, stats_for(scores, k))
+        computed.append(report.r_tt)
+        # r_tt = 1 - e/v: a few roundings in e and v, each scaled by e/v
+        tol = 8 * sys.float_info.epsilon * (1.0 + report.error_variance / float(var_x))
+        bound = max(bound, tol)
+        assert abs(report.r_tt - exact[-1]) <= tol, (g, h)
+
+    mean_exact = kr20 - Fraction(sum(s_sq), len(s_sq) * N * N) / var_x
+    assert sum(exact) / len(exact) == mean_exact
+    assert abs(math.fsum(computed) / len(computed) - mean_exact) <= bound
+
+
 def test_true_score_geometry_identities():
     st = descriptive_stats(ExamineeScores([4, 7, 2, 9, 5]), 12)
     geo = true_score_geometry(st, 0.8)
@@ -152,14 +307,31 @@ def test_true_score_geometry_near_ceiling_long_test():
     assert geo.norm_T * geo.cos_theta_T / math.sqrt(st.N) == pytest.approx(st.mean, rel=1e-12)
 
 
-def test_import_leaves_scipy_special_out():
-    # scipy.special is imported by the F-test on first use, not by the package
-    code = "import sys, splitrel, splitrel.cli; print('scipy.special' in sys.modules)"
+NO_SCIPY_RUN = """
+import sys
+from splitrel.cli import main
+codes = [
+    main(["reliability", "--input", "m.csv", "--output", "r.json"]),
+    main(["truescore", "--input", "m.csv", "--output", "t.json"]),
+    main(["battery", "--inputs", "m.csv", "k.csv", "--output", "b.json"]),
+]
+print(codes, sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy.")))
+"""
+
+
+def test_cli_runs_load_no_scipy_module(tmp_path):
+    # reliability, truescore and battery all reach the F-test; none may pull in scipy
+    rng = np.random.default_rng(31)
+    ability = rng.random((40, 1))
+    for name, n_items in (("m.csv", 9), ("k.csv", 12)):
+        entries = (rng.random((40, n_items)) < ability).astype(int)
+        (tmp_path / name).write_text("".join(",".join(map(str, r)) + "\n" for r in entries))
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
     out = subprocess.run(
-        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+        [sys.executable, "-c", NO_SCIPY_RUN],
+        cwd=tmp_path, env=env, capture_output=True, text=True, check=True,
     )
-    assert out.stdout.strip() == "False"
+    assert out.stdout.strip() == "[0, 0, 0] []", out.stderr
 
 
 def test_classical_reliability_on_hand_vectors():
