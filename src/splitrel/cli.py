@@ -20,7 +20,8 @@ import math
 import sys
 import time
 from importlib import resources
-from typing import Iterator, NamedTuple
+from itertools import chain
+from typing import Iterable, Iterator, NamedTuple
 
 import numpy as np
 
@@ -63,6 +64,9 @@ from .truescore import (
 __all__ = ["Analysis", "analyze", "scaling_suite", "main", "load_schema"]
 
 _WEIGHT_METHODS = ("optimal", "nonneg", "eigen-cov", "eigen-corr", "equal")
+
+# values that ``_json`` writes as nested JSON rather than as one scalar
+_CONTAINERS = (dict, list, tuple, np.ndarray, RowBlock)
 
 # namespace entries that are not analysis parameters of the envelope
 _NOT_PARAMETERS = frozenset({"command", "handler", "input", "inputs", "output", "fmt"})
@@ -163,18 +167,19 @@ def _envelope(args: argparse.Namespace, report: dict) -> dict:
     }
 
 
-def _emit(text: str, output: str | None) -> None:
+def _emit(pieces: Iterable[str], output: str | None) -> None:
+    """Write the text ``pieces`` one by one to ``output``, or to stdout."""
     if output is None:
-        sys.stdout.write(text)
+        sys.stdout.writelines(pieces)
     else:
         with open(output, "w", encoding="utf-8", newline="") as fh:
-            fh.write(text)
+            fh.writelines(pieces)
 
 
 def _emit_csv(columns: list[str], rows: list[dict], output: str | None) -> None:
     lines = [",".join(columns)]
     lines += [",".join(str(row[c]) for c in columns) for row in rows]
-    _emit("\n".join(lines) + "\n", output)
+    _emit(["\n".join(lines), "\n"], output)
 
 
 def _json_values(values: list) -> list[str]:
@@ -192,13 +197,30 @@ def _json_values(values: list) -> list[str]:
     ]
 
 
+def _json_column(column) -> list[str]:
+    """The JSON text of each value in one ``RowBlock`` column.
+
+    A float64 array is rendered once per distinct bit pattern and the
+    texts mapped back to the rows: ``_json_values`` renders each value
+    on its own, and keying on the bits keeps -0.0 apart from 0.0.
+    """
+    if not isinstance(column, np.ndarray):
+        return _json_values(column)
+    if column.dtype != np.float64:
+        return _json_values(column.tolist())
+    _, first, inverse = np.unique(column.view(np.uint64), return_index=True, return_inverse=True)
+    texts = np.array(_json_values(column[first].tolist()), dtype=object)
+    return texts[inverse].tolist()
+
+
 def _json_rows(block: RowBlock, indent: str) -> list[str]:
     """Each row dict of ``block`` as JSON text, filled into one template;
-    unjoined, so that the column texts are freed before the join."""
+    unjoined, so that the column texts are freed before the join.  A
+    float column is rendered once per distinct value."""
     order = sorted(range(len(block.fields)), key=block.fields.__getitem__)
     keys = [json.dumps(block.fields[k]).replace("%", "%%") for k in order]
     template = "{\n" + ",\n".join(f"{indent}  {key}: %s" for key in keys) + f"\n{indent}}}"
-    columns = [_json_values(values) for values in block.column_lists()]
+    columns = [_json_column(column) for column in block.columns]
     return list(map(template.__mod__, zip(*(columns[k] for k in order))))
 
 
@@ -219,7 +241,7 @@ def _json(obj, indent: str) -> Iterator[str]:
     elif not isinstance(obj, (list, tuple, RowBlock)):
         yield _json_values([obj])[0]
     elif isinstance(obj, RowBlock) or not any(
-        isinstance(v, (dict, list, tuple, np.ndarray, RowBlock)) for v in obj
+        issubclass(kind, _CONTAINERS) for kind in set(map(type, obj))
     ):
         items = _json_rows(obj, inner) if isinstance(obj, RowBlock) else _json_values(obj)
         yield (f"[\n{inner}" + f",\n{inner}".join(items) + f"\n{indent}]") if items else "[]"
@@ -231,7 +253,7 @@ def _json(obj, indent: str) -> Iterator[str]:
 
 
 def _dump(envelope: dict, output: str | None) -> None:
-    _emit("".join([*_json(envelope, ""), "\n"]), output)
+    _emit(chain(_json(envelope, ""), ["\n"]), output)
 
 
 def load_schema() -> dict:
@@ -302,7 +324,7 @@ def _cmd_truescore(args: argparse.Namespace) -> None:
     x = ExamineeScores(scores.combined())
     table = estimate_true_scores(x, stats, r, args.reliability_kind)
     if args.fmt == "csv":
-        _emit(table.to_csv(), args.output)
+        _emit([table.to_csv()], args.output)
         return
     comparison = compare_estimators(x, stats, report.r_tt, report.r_gh)
     percentile = None
@@ -409,8 +431,16 @@ def _bin_width(text: str) -> int:
     return width
 
 
+def _finite(text: str) -> float:
+    value = float(text)
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError(f"expected a finite number, got {text!r}")
+    return value
+
+
 # argparse names the type in "invalid int value: 'x'" when int() fails
 _seed.__name__ = _bin_width.__name__ = "int"
+_finite.__name__ = "float"
 
 
 def _build_parser() -> _Parser:
@@ -456,7 +486,7 @@ def _build_parser() -> _Parser:
         dest="reliability_kind",
         help="which reliability to regress with",
     )
-    p.add_argument("--percentile-of", type=float, default=None, metavar="T")
+    p.add_argument("--percentile-of", type=_finite, default=None, metavar="T")
     common(p, formats=("json", "csv"))
 
     p = sub.add_parser("battery", help="battery reliability over several tests")

@@ -157,8 +157,10 @@ class TrueScoreTable(_ColumnTable):
         keys = np.floor(self.estimate)
         order = np.argsort(keys, kind="stable")
         bin_keys, starts = np.unique(keys[order], return_index=True)
-        ids = _tolist(self.examinee_id)
-        ids = [ids[i] for i in order.tolist()]
+        if isinstance(self.examinee_id, np.ndarray):
+            ids = self.examinee_id[order].tolist()
+        else:
+            ids = [self.examinee_id[i] for i in order.tolist()]
         starts = starts.tolist()
         bounds = zip(starts, [*starts[1:], len(ids)])
         return {int(k): ids[a:b] for k, (a, b) in zip(bin_keys.tolist(), bounds)}

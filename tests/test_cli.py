@@ -249,6 +249,17 @@ def test_out_of_range_options_are_usage_errors(argv, tmp_path, monkeypatch):
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("t", ["nan", "inf", "-inf"])
+def test_non_finite_percentile_of_is_a_usage_error(matrix_csv, t):
+    # the report schema types percentile.t as a number, which null is not
+    code, out, err = run_cli("truescore", "--input", matrix_csv, f"--percentile-of={t}")
+    assert code == 1
+    assert out == ""
+    errors = [line for line in err.splitlines() if line.startswith("error")]
+    message = f"argument --percentile-of: expected a finite number, got {t!r}"
+    assert errors == [f"error[_UsageError]: {message}"]
+
+
 def test_missing_input_exits_one(tmp_path):
     code, _, err = run_cli("split", "--input", str(tmp_path / "absent.csv"))
     assert code == 1

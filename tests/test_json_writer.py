@@ -46,13 +46,18 @@ def arrays(min_size=0, max_size=4):
     return of(INT64, np.int64) | of(st.floats(), np.float64) | of(st.booleans(), bool)
 
 
+# few values, so that a float column repeats them and mixes 0.0 with -0.0
+POOLED = st.sampled_from([0.0, -0.0, math.nan, math.inf, -math.inf, 0.1, -2.5, 1e300])
+
+
 @st.composite
 def row_blocks(draw):
     """Columns of one length: numpy arrays, or tuples of any scalars as ids are."""
     fields = draw(st.lists(TEXT, unique=True, max_size=4))
-    n_rows = draw(st.integers(0, 4))
+    n_rows = draw(st.integers(0, 16))
     ids = st.lists(SCALARS, min_size=n_rows, max_size=n_rows).map(tuple)
-    column = ids | arrays(n_rows, n_rows)
+    pooled = st.lists(POOLED, min_size=n_rows, max_size=n_rows)
+    column = ids | arrays(n_rows, n_rows) | pooled.map(lambda v: np.array(v, dtype=np.float64))
     return RowBlock(tuple(fields), tuple(draw(column) for _ in fields))
 
 
