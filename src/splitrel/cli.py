@@ -197,31 +197,38 @@ def _json_values(values: list) -> list[str]:
     ]
 
 
-def _json_column(column) -> list[str]:
-    """The JSON text of each value in one ``RowBlock`` column.
+def _json_column(column) -> np.ndarray:
+    """The JSON text of each value of a ``RowBlock`` column, as an object array.
 
-    A float64 array is rendered once per distinct bit pattern and the
-    texts mapped back to the rows: ``_json_values`` renders each value
-    on its own, and keying on the bits keeps -0.0 apart from 0.0.
-    """
-    if not isinstance(column, np.ndarray):
-        return _json_values(column)
-    if column.dtype != np.float64:
-        return _json_values(column.tolist())
-    _, first, inverse = np.unique(column.view(np.uint64), return_index=True, return_inverse=True)
-    texts = np.array(_json_values(column[first].tolist()), dtype=object)
-    return texts[inverse].tolist()
+    A float64 array (keyed on its bits, so -0.0 stays apart from 0.0) or
+    an int or bool array is rendered once per distinct value, which is
+    exact as ``_json_values`` renders each value on its own; any other
+    column value by value."""
+    if isinstance(column, np.ndarray) and (
+        column.dtype == np.float64 or column.dtype.kind in "iub"
+    ):
+        keys = column.view(np.uint64) if column.dtype == np.float64 else column
+        distinct, inverse = np.unique(keys, return_inverse=True)
+        texts = _json_values(distinct.view(column.dtype).tolist())
+        return np.array(texts, dtype=object)[inverse]
+    values = column.tolist() if isinstance(column, np.ndarray) else list(column)
+    return np.array(_json_values(values), dtype=object)
 
 
-def _json_rows(block: RowBlock, indent: str) -> list[str]:
-    """Each row dict of ``block`` as JSON text, filled into one template;
-    unjoined, so that the column texts are freed before the join.  A
-    float column is rendered once per distinct value."""
+def _json_rows(block: RowBlock, indent: str) -> str:
+    """The row dicts of ``block`` as JSON text, ``,\n`` + ``indent`` between
+    rows, from one join over constant key pieces and shared value texts."""
     order = sorted(range(len(block.fields)), key=block.fields.__getitem__)
-    keys = [json.dumps(block.fields[k]).replace("%", "%%") for k in order]
-    template = "{\n" + ",\n".join(f"{indent}  {key}: %s" for key in keys) + f"\n{indent}}}"
-    columns = [_json_column(column) for column in block.columns]
-    return list(map(template.__mod__, zip(*(columns[k] for k in order))))
+    n_rows = len(block.columns[0]) if block.columns else 0
+    if not n_rows:
+        return ""
+    cells = np.empty((n_rows, 2 * len(order) + 1), dtype=object)
+    for j, k in enumerate(order):
+        cells[:, 2 * j] = f"{',' if j else '{'}\n{indent}  {json.dumps(block.fields[k])}: "
+        cells[:, 2 * j + 1] = _json_column(block.columns[k])
+    cells[:, -1] = f"\n{indent}}},\n{indent}"
+    cells[-1, -1] = f"\n{indent}}}"
+    return "".join(cells.ravel().tolist())
 
 
 def _json(obj, indent: str) -> Iterator[str]:
@@ -243,8 +250,9 @@ def _json(obj, indent: str) -> Iterator[str]:
     elif isinstance(obj, RowBlock) or not any(
         issubclass(kind, _CONTAINERS) for kind in set(map(type, obj))
     ):
-        items = _json_rows(obj, inner) if isinstance(obj, RowBlock) else _json_values(obj)
-        yield (f"[\n{inner}" + f",\n{inner}".join(items) + f"\n{indent}]") if items else "[]"
+        sep = f",\n{inner}"
+        text = _json_rows(obj, inner) if isinstance(obj, RowBlock) else sep.join(_json_values(obj))
+        yield f"[\n{inner}{text}\n{indent}]" if text else "[]"
     else:
         for n, value in enumerate(obj):
             yield f"{',' if n else '['}\n{inner}"
@@ -269,7 +277,9 @@ def _load_and_split(path: str, args: argparse.Namespace) -> tuple[ScoreMatrix, S
 
 def _histogram(values: np.ndarray, capacity: int, width: int) -> list[int]:
     # fixed-width bins [k*w, (k+1)*w) covering every reachable score,
-    # so the counts always sum to the number of examinees
+    # so the counts always sum to the number of examinees; any width
+    # above the capacity gives one bin, as capacity + 1 does inside int64
+    width = min(width, capacity + 1)
     counts = np.bincount(values // width, minlength=capacity // width + 1)
     return [int(c) for c in counts]
 

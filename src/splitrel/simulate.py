@@ -57,6 +57,8 @@ class SimModel:
             raise RangeError(f"unknown simulation design {self.kind!r}")
         if self.N < 2 or self.n < 2:
             raise TooSmall(f"need N >= 2 and n >= 2, got {self.N} x {self.n}")
+        if int(self.N) * int(self.n) > np.iinfo(np.intp).max:
+            raise RangeError(f"a {self.N} x {self.n} matrix has too many cells to index")
         if not 0 <= int(self.seed) < 2**64:
             raise RangeError(f"seed must be a 64-bit unsigned integer, got {self.seed}")
         object.__setattr__(self, "N", int(self.N))

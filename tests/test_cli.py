@@ -260,6 +260,30 @@ def test_non_finite_percentile_of_is_a_usage_error(matrix_csv, t):
     assert errors == [f"error[_UsageError]: {message}"]
 
 
+def test_bin_width_beyond_int64_gives_one_bin(schema, matrix_csv):
+    width = 10**20
+    doc = run_json(schema, "reliability", "--input", matrix_csv, "--bin-width", str(width))
+    hists = doc["report"]["histograms"]
+    assert hists["bin_width"] == doc["parameters"]["bin_width"] == width
+    assert [hists["full"], hists["g"], hists["h"]] == [[120]] * 3
+
+
+@pytest.mark.parametrize("argv, shape", [
+    (("simulate", "--model", "D3", "--N", str(10**20), "--n", "4", "--seed", "1",
+      "--output", "s.csv"), f"{10**20} x 4"),
+    (("scale", "--model", "D3", "--sizes", f"3,{10**20}", "--seed", "1"), f"3 x {10**20}"),
+], ids=["simulate", "scale"])
+def test_matrices_too_large_to_index_are_range_errors(argv, shape, tmp_path, monkeypatch):
+    # the model rejects the size before numpy allocates anything
+    monkeypatch.chdir(tmp_path)
+    code, out, err = run_cli(*argv)
+    assert code == 1
+    assert out == ""
+    errors = [line for line in err.splitlines() if line.startswith("error")]
+    assert errors == [f"error[RangeError]: a {shape} matrix has too many cells to index"]
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_missing_input_exits_one(tmp_path):
     code, _, err = run_cli("split", "--input", str(tmp_path / "absent.csv"))
     assert code == 1

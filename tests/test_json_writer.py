@@ -1,11 +1,11 @@
 """The CLI's one JSON writer, against ``json.dumps`` on the plain value.
 
 ``cli._dump`` renders a whole report in one indented pass: dicts with
-``str(k)`` keys, lists and arrays, ``RowBlock``s from one template per
-row, numpy scalars, and NaN or inf as ``null``.  On random nested values
-it must write exactly what ``json.dumps(json_safe(v), indent=2,
-sort_keys=True)`` writes for the same value with every ``RowBlock``
-replaced by its row dicts.
+``str(k)`` keys, lists and arrays, ``RowBlock``s as one join over each
+column's distinct value texts, numpy scalars, and NaN or inf as
+``null``.  On random nested values it must write exactly what
+``json.dumps(json_safe(v), indent=2, sort_keys=True)`` writes for the
+same value with every ``RowBlock`` replaced by its row dicts.
 """
 
 import io
@@ -22,8 +22,8 @@ from splitrel.truescore import RowBlock
 
 from conftest import json_safe
 
-# quotes, backslashes, control characters, non-ASCII text, NUL and the
-# template's own "%" and braces
+# quotes, backslashes, control characters, non-ASCII text, NUL, "%" and
+# braces
 TEXT = st.text(alphabet=st.sampled_from('ab"\\/%{}\x00\x01\x1f\t\n é€😀 '), max_size=6)
 INT64 = st.integers(-(2**63), 2**63 - 1)
 SCALARS = (
@@ -38,26 +38,28 @@ SCALARS = (
 )
 
 
-def arrays(min_size=0, max_size=4):
+def arrays(min_size=0, max_size=4, ints=INT64, floats=st.floats()):
     def of(values, dtype):
         lists = st.lists(values, min_size=min_size, max_size=max_size)
         return lists.map(lambda v: np.array(v, dtype=dtype))
 
-    return of(INT64, np.int64) | of(st.floats(), np.float64) | of(st.booleans(), bool)
+    return of(ints, np.int64) | of(floats, np.float64) | of(st.booleans(), bool)
 
 
-# few values, so that a float column repeats them and mixes 0.0 with -0.0
-POOLED = st.sampled_from([0.0, -0.0, math.nan, math.inf, -math.inf, 0.1, -2.5, 1e300])
+# few values, so that a column repeats them: a float column mixes 0.0
+# with -0.0, and an int column the int64 extremes with wide draws
+POOLED_FLOATS = st.sampled_from([0.0, -0.0, math.nan, math.inf, -math.inf, 0.1, -2.5, 1e300])
+POOLED_INTS = st.sampled_from([0, -1, 2**63 - 1, -(2**63 - 1), -(2**63)]) | INT64
 
 
 @st.composite
 def row_blocks(draw):
     """Columns of one length: numpy arrays, or tuples of any scalars as ids are."""
     fields = draw(st.lists(TEXT, unique=True, max_size=4))
-    n_rows = draw(st.integers(0, 16))
+    n_rows = draw(st.integers(0, 1) | st.integers(0, 16))
     ids = st.lists(SCALARS, min_size=n_rows, max_size=n_rows).map(tuple)
-    pooled = st.lists(POOLED, min_size=n_rows, max_size=n_rows)
-    column = ids | arrays(n_rows, n_rows) | pooled.map(lambda v: np.array(v, dtype=np.float64))
+    pooled = arrays(n_rows, n_rows, POOLED_INTS, POOLED_FLOATS)
+    column = ids | arrays(n_rows, n_rows) | pooled
     return RowBlock(tuple(fields), tuple(draw(column) for _ in fields))
 
 

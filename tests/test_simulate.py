@@ -70,6 +70,11 @@ def test_model_validation():
         SimModel("D1", 10, 10, seed=-1)
     with pytest.raises(TooSmall):
         SimModel("D1", 1, 10, seed=0)
+    # N * n must fit numpy's index type; the check allocates nothing
+    limit = np.iinfo(np.intp).max
+    with pytest.raises(RangeError, match="too many cells"):
+        SimModel("D1", limit // 2 + 1, 2, seed=0)
+    assert SimModel("D1", limit // 2, 2, seed=0).N == limit // 2
 
 
 def test_fixed_p_degenerate_levels():

@@ -1,8 +1,9 @@
 """The per-examinee tables on the CLI's output paths, against row references.
 
 ``TrueScoreTable`` and ``EstimatorComparison`` hold columns, and
-``cli._dump`` renders their ``rows`` and ``bins`` blocks from one
-template per row.  The property tests build random tables and require
+``cli._dump`` renders their ``rows`` blocks as one join over each
+column's distinct value texts and the ``bins`` id lists as lists of
+scalars.  The property tests build random tables and require
 the exact bytes that ``json.dumps(..., indent=2, sort_keys=True)``
 writes for the same report built from the rows' ``_asdict()``, and the
 bytes of a ``csv.writer`` loop over the rows for ``to_csv``.
