@@ -203,54 +203,42 @@ def covariance_matrix(b: BatteryInput) -> CovMatrix:
     return CovMatrix(d)
 
 
-def _check_dims(b: BatteryInput, d: CovMatrix) -> None:
+def _reliability(b: BatteryInput, d: CovMatrix, w: np.ndarray) -> float:
+    """Battery reliability under weights w, summed in index order.
+
+    Cross terms 2*cov(i,j)*w_i*w_j over pairs i<j enter numerator and
+    denominator alike; the denominator is the battery score variance
+    W' D W, so a nonpositive value aborts.
+    """
     if d.k != b.k:
         raise ShapeError(f"covariance matrix is {d.k}x{d.k} for {b.k} tests")
-
-
-def _cross_sum(a: np.ndarray, w: np.ndarray | None = None) -> float:
-    """Sum of 2*cov(i,j) over unordered pairs i<j, optionally weighted."""
-    k = a.shape[0]
-    total = 0.0
-    for i in range(k):
-        for j in range(i + 1, k):
-            c = 2.0 * a[i, j]
-            if w is not None:
-                c *= w[i] * w[j]
-            total += c
-    return total
-
-
-def summative_reliability(b: BatteryInput, d: CovMatrix) -> float:
-    """Battery reliability when every test enters with weight 1."""
-    _check_dims(b, d)
     a = d.d
-    cross = _cross_sum(a)
-    num = sum(t.r_tt * a[i, i] for i, t in enumerate(b.tests)) + cross
-    den = float(np.trace(a)) + cross
+    cross = 0.0
+    for i in range(b.k):
+        for j in range(i + 1, b.k):
+            cross += (2.0 * a[i, j]) * (w[i] * w[j])
+    num = sum(t.r_tt * w[i] * w[i] * a[i, i] for i, t in enumerate(b.tests)) + cross
+    den = sum(w[i] * w[i] * a[i, i] for i in range(b.k)) + cross
     if not den > 0.0:
         raise Degenerate(f"battery score variance must be positive, got {den}")
     return num / den
 
 
+def summative_reliability(b: BatteryInput, d: CovMatrix) -> float:
+    """Battery reliability when every test enters with weight 1."""
+    return _reliability(b, d, np.ones(b.k))
+
+
 def weighted_reliability(b: BatteryInput, d: CovMatrix, w: WeightVector) -> BatteryReport:
     """Battery reliability under weights W, with the full report.
 
-    The denominator is exactly the battery score variance W' D W, so a
-    nonpositive value aborts; the summative figure rides along for
-    comparison and degrades to NaN rather than failing the report.
+    The summative figure rides along for comparison and degrades to NaN
+    rather than failing the report.
     """
-    _check_dims(b, d)
     if len(w.w) != b.k:
         raise ShapeError(f"{len(w.w)} weights for {b.k} tests")
-    a = d.d
     wv = np.asarray(w.w, dtype=np.float64)
-    cross = _cross_sum(a, wv)
-    num = sum(t.r_tt * wv[i] * wv[i] * a[i, i] for i, t in enumerate(b.tests)) + cross
-    den = sum(wv[i] * wv[i] * a[i, i] for i in range(b.k)) + cross
-    if not den > 0.0:
-        raise Degenerate(f"battery score variance must be positive, got {den}")
-    r = num / den
+    r = _reliability(b, d, wv)
 
     warnings = list(w.warnings) + b.reliability_warnings()
     try:
@@ -273,7 +261,7 @@ def weighted_reliability(b: BatteryInput, d: CovMatrix, w: WeightVector) -> Batt
     return BatteryReport(
         weights=w,
         r_battery=r,
-        variance_Y=float(wv @ a @ wv),
+        variance_Y=float(wv @ d.d @ wv),
         r_summative=r_summ,
         d=d,
         per_test=per_test,
@@ -354,60 +342,23 @@ def nonnegative_weights(d: CovMatrix) -> WeightVector:
     raise Degenerate("active-set elimination emptied the support")
 
 
-def jacobi_eigh(a: np.ndarray, tol: float = 1e-10, max_sweeps: int = 100) -> tuple[np.ndarray, np.ndarray]:
-    """Cyclic Jacobi diagonalisation of a small symmetric matrix.
+def jacobi_eigh(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Eigen decomposition of a symmetric matrix, largest eigenvalue first.
 
-    Returns (eigenvalues, eigenvectors) sorted by descending eigenvalue,
-    eigenvectors in columns.  Sweeps Givens rotations over all
-    off-diagonal positions until their Frobenius norm falls below
-    ``tol`` relative to the matrix scale.
+    Returns (eigenvalues, eigenvectors) sorted by descending eigenvalue
+    (stable on ties), eigenvectors in columns.  LAPACK does the work
+    through ``numpy.linalg.eigh``; the name is kept from an earlier
+    hand-written Jacobi solver because it is public API.
     """
     a = np.array(a, dtype=np.float64)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise ShapeError("eigen decomposition needs a square matrix")
-    k = a.shape[0]
     scale = max(1.0, float(np.abs(a).max()))
     if float(np.abs(a - a.T).max()) > 1e-12 * scale:
         raise DomainViolation("eigen decomposition needs a symmetric matrix")
-    v = np.eye(k)
-    threshold = tol * max(1.0, float(np.linalg.norm(a)))
-    for _ in range(max_sweeps):
-        sq = a * a
-        # cancellation can leave the subtraction a hair below zero
-        off = math.sqrt(max(0.0, float(sq.sum() - np.diag(sq).sum())))
-        if off <= threshold:
-            break
-        for p in range(k - 1):
-            for q in range(p + 1, k):
-                apq = float(a[p, q])
-                if apq == 0.0:
-                    continue
-                diff = float(a[q, q] - a[p, p])
-                if abs(diff) > abs(apq) * 1e150:
-                    # theta = diff / (2 apq) would overflow; for so small
-                    # an angle the tangent is apq / diff to first order
-                    t = apq / diff
-                else:
-                    theta = diff / (2.0 * apq)
-                    t = math.copysign(1.0, theta) / (abs(theta) + math.hypot(theta, 1.0))
-                c = 1.0 / math.sqrt(t * t + 1.0)
-                s = t * c
-                # A <- G' A G and V <- V G with the rotation in plane (p, q)
-                for r in range(k):
-                    arp, arq = a[r, p], a[r, q]
-                    a[r, p] = c * arp - s * arq
-                    a[r, q] = s * arp + c * arq
-                for r in range(k):
-                    apr, aqr = a[p, r], a[q, r]
-                    a[p, r] = c * apr - s * aqr
-                    a[q, r] = s * apr + c * aqr
-                for r in range(k):
-                    vrp, vrq = v[r, p], v[r, q]
-                    v[r, p] = c * vrp - s * vrq
-                    v[r, q] = s * vrp + c * vrq
-    vals = np.diag(a).copy()
+    vals, vecs = np.linalg.eigh(a)
     order = np.argsort(-vals, kind="stable")
-    return vals[order], v[:, order]
+    return vals[order], vecs[:, order]
 
 
 def eigen_weights(d: CovMatrix, variant: str) -> WeightVector:

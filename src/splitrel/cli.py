@@ -7,8 +7,9 @@ the tool version, the sha256 digest of every input file, and the
 effective parameters.  Nothing time-dependent goes into a report, so a
 rerun on the same inputs writes byte-identical output.
 
-Exit codes: 0 success, 1 usage or validation error, 2 degenerate
-computation (zero variance, singular matrix, failed cross-check).
+Exit codes: 0 success, 1 usage or validation error (or too little
+memory), 2 degenerate computation (zero variance, singular matrix,
+failed cross-check).
 """
 
 from __future__ import annotations
@@ -535,6 +536,9 @@ def main(argv: list[str] | None = None) -> int:
         return exc.exit_code
     except OSError as exc:
         print(f"error[{type(exc).__name__}]: {exc}", file=sys.stderr)
+        return 1
+    except MemoryError as exc:
+        print(f"error[MemoryError]: {str(exc) or 'not enough memory'}", file=sys.stderr)
         return 1
 
 

@@ -59,6 +59,9 @@ class SimModel:
             raise TooSmall(f"need N >= 2 and n >= 2, got {self.N} x {self.n}")
         if int(self.N) * int(self.n) > np.iinfo(np.intp).max:
             raise RangeError(f"a {self.N} x {self.n} matrix has too many cells to index")
+        if 8 * max(int(self.N), int(self.n)) > np.iinfo(np.intp).max:
+            # the float64 parameter draw needs 8 bytes per examinee or item
+            raise RangeError(f"a {self.N} x {self.n} matrix needs too large a parameter draw")
         if not 0 <= int(self.seed) < 2**64:
             raise RangeError(f"seed must be a 64-bit unsigned integer, got {self.seed}")
         object.__setattr__(self, "N", int(self.N))

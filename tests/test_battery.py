@@ -250,6 +250,23 @@ def test_eigen_weights_corr_scaled_undoes_standard_deviations():
     assert wv.method == "eigen_corr"
 
 
+@pytest.mark.parametrize("variant, a", [
+    ("cov_proportional", np.diag([3.0, 3.0, 1.0])),
+    # two blocks of correlation 0.5 with standard deviations 1, 2, 3, 4:
+    # the correlation matrix has top eigenvalue 1.5 twice
+    ("corr_scaled", np.array([[1.0, 1.0, 0.0, 0.0],
+                              [1.0, 4.0, 0.0, 0.0],
+                              [0.0, 0.0, 9.0, 6.0],
+                              [0.0, 0.0, 6.0, 16.0]])),
+], ids=["cov", "corr"])
+def test_eigen_weights_on_a_repeated_top_eigenvalue(variant, a):
+    d = CovMatrix(a)
+    wv = eigen_weights(d, variant)
+    assert any("repeated" in w for w in wv.warnings)
+    assert math.isclose(sum(wv.w), 1.0, rel_tol=1e-12)
+    assert eigen_weights(d, variant).w == wv.w
+
+
 def test_eigen_weights_zero_variance_component():
     d = CovMatrix([[1.0, 0.0], [0.0, 0.0]])
     with pytest.raises(ZeroVariance):
@@ -265,6 +282,29 @@ def test_equal_weights_reproduce_summative_reliability():
     rep = weighted_reliability(b, d, wv)
     assert rep.r_battery == pytest.approx(summative_reliability(b, d), rel=1e-12)
     assert rep.r_summative == pytest.approx(rep.r_battery, rel=1e-12)
+
+
+def test_summative_reliability_sums_in_index_order():
+    # numerator sum r_i*a_ii + cross, denominator sum a_ii + cross, every
+    # sum taken in index order; a pairwise sum such as np.trace's differs
+    # in the last bit from k = 8 on, so the batteries have k >= 9
+    rng = np.random.default_rng(47)
+    for _ in range(40):
+        k = int(rng.integers(9, 13))
+        x = rng.normal(size=(k, 2 * k))
+        a = x @ x.T / (2 * k)
+        rels = tuple(float(r) for r in rng.random(k))
+        cross = 0.0
+        for i in range(k):
+            for j in range(i + 1, k):
+                cross += 2.0 * float(a[i, j])
+        num = 0.0
+        den = 0.0
+        for i in range(k):
+            num += rels[i] * float(a[i, i])
+            den += float(a[i, i])
+        got = summative_reliability(battery_from_cov(a, rels), CovMatrix(a))
+        assert got == (num + cross) / (den + cross)
 
 
 def test_summative_reliability_worked_example():

@@ -284,6 +284,37 @@ def test_matrices_too_large_to_index_are_range_errors(argv, shape, tmp_path, mon
     assert list(tmp_path.iterdir()) == []
 
 
+def test_parameter_draw_too_large_to_index_is_a_range_error(tmp_path, monkeypatch):
+    # N * n fits the index, but the float64 ability draw needs 8 * N bytes;
+    # the model rejects it before numpy allocates anything
+    monkeypatch.chdir(tmp_path)
+    code, out, err = run_cli("simulate", "--model", "D1", "--N", "2305843009213693952",
+                             "--n", "2", "--seed", "1", "--output", "big.csv")
+    assert code == 1
+    assert out == ""
+    errors = [line for line in err.splitlines() if line.startswith("error")]
+    assert errors == [
+        "error[RangeError]: a 2305843009213693952 x 2 matrix needs too large a parameter draw"
+    ]
+    assert not (tmp_path / "big.csv").exists()
+
+
+@pytest.mark.parametrize("raised, message", [
+    (MemoryError("Unable to allocate 8.00 EiB"), "Unable to allocate 8.00 EiB"),
+    (MemoryError(), "not enough memory"),
+], ids=["message", "bare"])
+def test_memory_error_is_an_error_line_not_a_traceback(raised, message, tmp_path, monkeypatch):
+    def generate(*args, **kwargs):
+        raise raised
+
+    monkeypatch.setattr("splitrel.cli.generate", generate)
+    monkeypatch.chdir(tmp_path)
+    code, out, err = run_cli("simulate", "--model", "D1", "--N", "10", "--n", "4",
+                             "--seed", "1", "--output", "s.csv")
+    assert (code, out) == (1, "")
+    assert err == f"error[MemoryError]: {message}\n"
+
+
 def test_missing_input_exits_one(tmp_path):
     code, _, err = run_cli("split", "--input", str(tmp_path / "absent.csv"))
     assert code == 1

@@ -46,9 +46,9 @@ GOLDEN = {
     "battery-nonneg.json": (BATTERY + ("nonneg",),
                             "6373587925a39c0c4e7adffa33f7091ee0dc5a2382e078fb7d570bc301a0ba7e"),
     "battery-eigen-cov.json": (BATTERY + ("eigen-cov",),
-                               "a4cdde5682f0065c80e3df87c5c78cd14d4b3e35bf83245e8a184e1a2687e8b5"),
+                               "af12fcf1198d995680fdc5b378cda0e276ce5411bc0bc12c9309b8c771e29295"),
     "battery-eigen-corr.json": (BATTERY + ("eigen-corr",),
-                                "ef98748c505f0d1c05bd93b50d80608aa7b8bdb40faf876cf0be07c90f0b7051"),
+                                "a886a7e64d359b2fd687e240bff71a830f2c8178c6e88ba799615abbe360c4b9"),
     "battery-equal.json": (BATTERY + ("equal",),
                            "fba209ccb93291dbdeab3f2cac14b52536cef6fac950f319e66d0dc14197c3d8"),
     "simulate.csv": (SIMULATE + ("@sim.csv",),

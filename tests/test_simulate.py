@@ -74,7 +74,14 @@ def test_model_validation():
     limit = np.iinfo(np.intp).max
     with pytest.raises(RangeError, match="too many cells"):
         SimModel("D1", limit // 2 + 1, 2, seed=0)
-    assert SimModel("D1", limit // 2, 2, seed=0).N == limit // 2
+    n = 2**20
+    with pytest.raises(RangeError, match="too many cells"):
+        SimModel("D1", limit // n + 1, n, seed=0)
+    assert SimModel("D1", limit // n, n, seed=0).N == limit // n
+    # so must the 8-byte-per-examinee (or per-item) float64 parameter draw
+    with pytest.raises(RangeError, match="parameter draw"):
+        SimModel("D1", limit // 8 + 1, 2, seed=0)
+    assert SimModel("D1", limit // 8, 2, seed=0).N == limit // 8
 
 
 def test_fixed_p_degenerate_levels():
