@@ -177,7 +177,9 @@ def _emit(pieces: Iterable[str], output: str | None) -> None:
             fh.writelines(pieces)
 
 
-def _emit_csv(columns: list[str], rows: list[dict], output: str | None) -> None:
+def _emit_csv(rows: list[dict], output: str | None) -> None:
+    """Write ``rows`` as CSV under a header of the first row's keys."""
+    columns = list(rows[0])
     lines = [",".join(columns)]
     lines += [",".join(str(row[c]) for c in columns) for row in rows]
     _emit(["\n".join(lines), "\n"], output)
@@ -288,8 +290,7 @@ def _histogram(values: np.ndarray, capacity: int, width: int) -> list[int]:
 def _cmd_split(args: argparse.Namespace) -> None:
     _, result = _load_and_split(args.input, args)
     if args.fmt == "csv":
-        cols = ["g_item", "g_score", "h_item", "h_score", "difference"]
-        _emit_csv(cols, result.to_dict()["rows"], args.output)
+        _emit_csv(result.to_dict()["rows"], args.output)
         return
     _dump(_envelope(args, result.to_dict()), args.output)
 
@@ -411,8 +412,7 @@ def _cmd_simulate(args: argparse.Namespace) -> None:
 def _cmd_scale(args: argparse.Namespace) -> None:
     rows = scaling_suite(args.sizes, args.model, args.seed)
     if args.fmt == "csv":
-        cols = ["N", "n", "seed", "split_seconds", "total_seconds", "abs_S", "iterations", "r_tt"]
-        _emit_csv(cols, rows, args.output)
+        _emit_csv(rows, args.output)
         return
     _dump(_envelope(args, {"rows": rows}), args.output)
 

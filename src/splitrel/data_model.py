@@ -54,6 +54,16 @@ def _frozen_int_array(values, dtype=np.int64):
     return arr
 
 
+def _set_totals(scores, noun: str) -> None:
+    """Validate ``scores.totals`` and replace it by a frozen int64 copy."""
+    totals = np.asarray(scores.totals)
+    if totals.ndim != 1 or totals.size < 1:
+        raise ShapeError(f"{noun} totals must be a nonempty 1-dimensional vector")
+    if not np.issubdtype(totals.dtype, np.integer) or (totals < 0).any():
+        raise DomainViolation(f"{noun} totals must be nonnegative integers")
+    object.__setattr__(scores, "totals", _frozen_int_array(totals))
+
+
 def _is_binary(entries: np.ndarray) -> bool:
     """Whether every cell is 0 or 1.
 
@@ -123,12 +133,7 @@ class ItemScores:
     totals: np.ndarray
 
     def __post_init__(self):
-        totals = np.asarray(self.totals)
-        if totals.ndim != 1 or totals.size < 1:
-            raise ShapeError("item totals must be a nonempty 1-dimensional vector")
-        if not np.issubdtype(totals.dtype, np.integer) or (totals < 0).any():
-            raise DomainViolation("item totals must be nonnegative integers")
-        object.__setattr__(self, "totals", _frozen_int_array(totals))
+        _set_totals(self, "item")
 
     @property
     def n_items(self) -> int:
@@ -146,12 +151,7 @@ class ExamineeScores:
     totals: np.ndarray
 
     def __post_init__(self):
-        totals = np.asarray(self.totals)
-        if totals.ndim != 1 or totals.size < 1:
-            raise ShapeError("examinee totals must be a nonempty 1-dimensional vector")
-        if not np.issubdtype(totals.dtype, np.integer) or (totals < 0).any():
-            raise DomainViolation("examinee totals must be nonnegative integers")
-        object.__setattr__(self, "totals", _frozen_int_array(totals))
+        _set_totals(self, "examinee")
 
     @property
     def n_examinees(self) -> int:
@@ -176,16 +176,7 @@ class TestStats:
     notes: tuple[str, ...] = ()
 
     def to_dict(self) -> dict:
-        return {
-            "mean": self.mean,
-            "variance": self.variance,
-            "norm_X": self.norm_X,
-            "norm_I": self.norm_I,
-            "cos_theta_X": self.cos_theta_X,
-            "N": self.N,
-            "n": self.n,
-            "notes": list(self.notes),
-        }
+        return {**vars(self), "notes": list(self.notes)}
 
 
 def mean_from_norms(norm_x: float, cos_theta_x: float, n_examinees: int) -> float:

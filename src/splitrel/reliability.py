@@ -112,18 +112,7 @@ class ReliabilityReport:
     warnings: tuple[str, ...]
 
     def to_dict(self) -> dict:
-        return {
-            "error_variance": self.error_variance,
-            "r_tt": self.r_tt,
-            "r_tt_equal_norm": self.r_tt_equal_norm,
-            "r_gh": self.r_gh,
-            "r_XT": self.r_XT,
-            "S_T_sq": self.S_T_sq,
-            "f_stat": self.f_stat,
-            "f_p_value": self.f_p_value,
-            "f_test_note": self.f_test_note,
-            "warnings": list(self.warnings),
-        }
+        return {**vars(self), "warnings": list(self.warnings)}
 
 
 def error_variance(s: SubTestScores) -> float:

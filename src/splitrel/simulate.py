@@ -24,6 +24,7 @@ reproducing identical matrices.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -55,27 +56,24 @@ class SimModel:
     def __post_init__(self) -> None:
         if self.kind not in _KINDS:
             raise RangeError(f"unknown simulation design {self.kind!r}")
+        for name in ("N", "n", "seed"):
+            value = getattr(self, name)
+            try:
+                object.__setattr__(self, name, operator.index(value))
+            except TypeError:
+                raise RangeError(f"{name} must be an integer, got {value!r}") from None
         if self.N < 2 or self.n < 2:
             raise TooSmall(f"need N >= 2 and n >= 2, got {self.N} x {self.n}")
-        if int(self.N) * int(self.n) > np.iinfo(np.intp).max:
+        if self.N * self.n > np.iinfo(np.intp).max:
             raise RangeError(f"a {self.N} x {self.n} matrix has too many cells to index")
-        if 8 * max(int(self.N), int(self.n)) > np.iinfo(np.intp).max:
+        if 8 * max(self.N, self.n) > np.iinfo(np.intp).max:
             # the float64 parameter draw needs 8 bytes per examinee or item
             raise RangeError(f"a {self.N} x {self.n} matrix needs too large a parameter draw")
-        if not 0 <= int(self.seed) < 2**64:
+        if not 0 <= self.seed < 2**64:
             raise RangeError(f"seed must be a 64-bit unsigned integer, got {self.seed}")
-        object.__setattr__(self, "N", int(self.N))
-        object.__setattr__(self, "n", int(self.n))
-        object.__setattr__(self, "seed", int(self.seed))
 
     def metadata(self) -> dict:
-        return {
-            "kind": self.kind,
-            "N": self.N,
-            "n": self.n,
-            "seed": self.seed,
-            "generator": GENERATOR_ID,
-        }
+        return {**vars(self), "generator": GENERATOR_ID}
 
 
 def generate(model: SimModel, *, fixed_p: float | None = None) -> ScoreMatrix:

@@ -19,6 +19,7 @@ are 0-based positions into the item-totals vector throughout.
 from __future__ import annotations
 
 import itertools
+import operator
 from dataclasses import dataclass
 
 from .data_model import ItemScores, ScoreMatrix, item_totals
@@ -175,7 +176,10 @@ def _check_cover(a: Assignment, n: int) -> None:
 def _resolve_max_iter(max_iter: int | None, n: int) -> int:
     if max_iter is None:
         return 10 * n
-    max_iter = int(max_iter)
+    try:
+        max_iter = operator.index(max_iter)
+    except TypeError:
+        raise RangeError(f"max_iter must be an integer, got {max_iter!r}") from None
     if max_iter < 0:
         raise RangeError(f"max_iter must be nonnegative, got {max_iter}")
     return max_iter

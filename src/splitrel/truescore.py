@@ -31,7 +31,6 @@ from .data_model import ExamineeScores, TestStats
 from .errors import RangeError, ShapeError, ZeroVariance
 
 __all__ = [
-    "RowBlock",
     "TrueScoreRow",
     "TrueScoreTable",
     "EstimatorComparisonRow",

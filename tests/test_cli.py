@@ -4,6 +4,9 @@ import csv
 import hashlib
 import io
 import json
+import os
+import subprocess
+import sys
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
@@ -11,6 +14,7 @@ import jsonschema
 import numpy as np
 import pytest
 
+import splitrel
 from splitrel import ScoreMatrix, data_model, write_score_matrix
 from splitrel.cli import load_schema, main
 
@@ -398,3 +402,43 @@ def test_version_flag():
     with pytest.raises(SystemExit) as exc:
         run_cli("--version")
     assert exc.value.code == 0
+
+
+# the package's exported names, as listed before each module's __all__
+# became their only declaration
+PUBLIC_API = {
+    "__version__",
+    "ToolkitError", "DomainViolation", "ShapeError", "TooSmall", "Unsupported",
+    "RangeError", "DegeneracyError", "ZeroVariance", "SingularMatrix", "Degenerate",
+    "CrossCheckFailed",
+    "ScoreMatrix", "ItemScores", "ExamineeScores", "TestStats", "load_score_matrix",
+    "write_score_matrix", "item_totals", "examinee_totals", "descriptive_stats",
+    "mean_from_norms", "variance_from_norms",
+    "Assignment", "SplitResult", "seed_allocation", "swap_refine", "product_refine",
+    "brute_force_split", "split",
+    "SubTestScores", "ReliabilityReport", "TrueScoreGeometry", "sub_test_scores",
+    "error_variance", "split_half_correlation", "f_test_equal_variance",
+    "classical_reliability", "true_score_geometry",
+    "TrueScoreRow", "TrueScoreTable", "EstimatorComparisonRow", "EstimatorComparison",
+    "estimate_true_scores", "compare_estimators", "percentile_rank",
+    "ComponentTest", "BatteryInput", "CovMatrix", "WeightVector", "BatteryReport",
+    "covariance_matrix", "summative_reliability", "weighted_reliability",
+    "optimal_weights", "nonnegative_weights", "eigen_weights", "equal_weights",
+    "jacobi_eigh",
+    "SimModel", "GENERATOR_ID", "generate",
+}
+
+
+def test_public_api_surface():
+    names = splitrel.__all__
+    assert len(names) == len(set(names))
+    assert all(hasattr(splitrel, name) for name in names)
+    assert set(names) == PUBLIC_API
+    assert "RowBlock" not in names
+    # importing the package must not pay for the CLI's imports
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
+    out = subprocess.run(
+        [sys.executable, "-c", "import sys, splitrel; print('splitrel.cli' in sys.modules)"],
+        env=env, capture_output=True, text=True, check=True,
+    )
+    assert out.stdout == "False\n", out.stderr

@@ -1,5 +1,6 @@
 """Score containers, CSV round trips, and the two-route descriptive stats."""
 
+import dataclasses
 import io
 
 import numpy as np
@@ -149,6 +150,8 @@ def test_descriptive_stats_to_dict_keys():
     d = st.to_dict()
     for key in ("mean", "variance", "norm_X", "norm_I", "cos_theta_X", "N", "n"):
         assert key in d
+    assert list(d) == [f.name for f in dataclasses.fields(st)]
+    assert d["notes"] == list(st.notes) and type(d["notes"]) is list
 
 
 def test_descriptive_stats_zero_vector_has_nan_angle():

@@ -1,5 +1,6 @@
 """Reliability formulas, the F-test, and the person-space geometry."""
 
+import dataclasses
 import io
 import itertools
 import math
@@ -424,6 +425,8 @@ def test_f_note_marks_observed_variance_approximation():
     assert "observed" in rep.f_test_note
     d = rep.to_dict()
     assert d["f_test_note"] == rep.f_test_note
+    assert list(d) == [f.name for f in dataclasses.fields(rep)]
+    assert d["warnings"] == list(rep.warnings) and type(d["warnings"]) is list
 
 
 def test_report_matches_full_split_pipeline(table2_matrix):

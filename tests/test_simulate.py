@@ -1,6 +1,8 @@
 """Response simulation: the RNG protocol, the four models, scaling runs,
 and the squared-sum gap bound evaluated with the generative probabilities."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -60,7 +62,9 @@ def test_generate_is_deterministic_and_seed_sensitive():
 
 def test_generator_id_is_pinned():
     assert GENERATOR_ID == "numpy-pcg64"
-    assert SimModel("D1", 5, 5, seed=0).metadata()["generator"] == GENERATOR_ID
+    meta = SimModel("D1", 5, 5, seed=0).metadata()
+    assert meta["generator"] == GENERATOR_ID
+    assert list(meta) == [f.name for f in dataclasses.fields(SimModel)] + ["generator"]
 
 
 def test_model_validation():
@@ -82,6 +86,17 @@ def test_model_validation():
     with pytest.raises(RangeError, match="parameter draw"):
         SimModel("D1", limit // 8 + 1, 2, seed=0)
     assert SimModel("D1", limit // 8, 2, seed=0).N == limit // 8
+    # counts and seed must be integers: a float or a string is refused, never truncated
+    for args in (
+        (2.9, 3, 1), (3, 3.7, 1), (3, 3, 1.5), (3.0, 3, 1), ("5", 3, 0), (5, 3, "0"), (5, 3, None),
+    ):
+        with pytest.raises(RangeError, match="must be an integer"):
+            SimModel("D1", *args)
+    model = SimModel("D1", np.int64(5), np.int32(3), seed=np.uint64(2**64 - 1))
+    assert model.metadata() == {
+        "kind": "D1", "N": 5, "n": 3, "seed": 2**64 - 1, "generator": GENERATOR_ID,
+    }
+    assert all(type(v) is int for v in (model.N, model.n, model.seed))
 
 
 def test_fixed_p_degenerate_levels():

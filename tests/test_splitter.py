@@ -21,7 +21,7 @@ from splitrel import (
     swap_refine,
 )
 
-from conftest import TABLE2_N, column_fill, table2_tau
+from conftest import TABLE2_N, TABLE2_TOTALS, column_fill, table2_tau
 
 
 def optimal_abs_s_mitm(values):
@@ -141,6 +141,13 @@ def test_swap_refine_max_iter_zero_keeps_seed():
     assert res.abs_S == 64
     with pytest.raises(RangeError):
         swap_refine(seed_allocation(tau), tau, max_iter=-1)
+    # a non-integral limit is refused, never truncated; numpy integers pass
+    m = column_fill(TABLE2_TOTALS, TABLE2_N)
+    for criterion in ("abs_S", "product"):
+        for bad in (2.5, 1.0, "3"):
+            with pytest.raises(RangeError, match="max_iter must be an integer"):
+                split(m, criterion, max_iter=bad)
+        assert split(m, criterion, max_iter=np.int64(0)).iterations == 0
 
 
 def test_swap_refine_rejects_unknown_policy():
