@@ -66,6 +66,9 @@ __all__ = ["Analysis", "analyze", "scaling_suite", "main", "load_schema"]
 
 _WEIGHT_METHODS = ("optimal", "nonneg", "eigen-cov", "eigen-corr", "equal")
 
+# rows of a ``RowBlock`` that ``_json`` renders and writes as one piece
+_CHUNK_ROWS = 4096
+
 # values that ``_json`` writes as nested JSON rather than as one scalar
 _CONTAINERS = (dict, list, tuple, np.ndarray, RowBlock)
 
@@ -200,45 +203,76 @@ def _json_values(values: list) -> list[str]:
     ]
 
 
-def _json_column(column) -> np.ndarray:
-    """The JSON text of each value of a ``RowBlock`` column, as an object array.
+def _json_column(column) -> tuple[list[str], np.ndarray | None]:
+    """The JSON texts of a ``RowBlock`` column and the row codes into them.
 
     A float64 array (keyed on its bits, so -0.0 stays apart from 0.0) or
-    an int or bool array is rendered once per distinct value, which is
-    exact as ``_json_values`` renders each value on its own; any other
-    column value by value."""
+    an int or bool array that is not strictly increasing gives its
+    distinct texts and each row's index into them, which is exact as
+    ``_json_values`` renders each value on its own.  A strictly
+    increasing int array, such as ids, and any other column give one
+    text per row and ``None``."""
     if isinstance(column, np.ndarray) and (
         column.dtype == np.float64 or column.dtype.kind in "iub"
     ):
+        if column.dtype.kind in "iu" and np.all(column[1:] > column[:-1]):
+            return list(map(int.__repr__, column.tolist())), None
         keys = column.view(np.uint64) if column.dtype == np.float64 else column
         distinct, inverse = np.unique(keys, return_inverse=True)
-        texts = _json_values(distinct.view(column.dtype).tolist())
-        return np.array(texts, dtype=object)[inverse]
+        return _json_values(distinct.view(column.dtype).tolist()), inverse
     values = column.tolist() if isinstance(column, np.ndarray) else list(column)
-    return np.array(_json_values(values), dtype=object)
+    return _json_values(values), None
 
 
-def _json_rows(block: RowBlock, indent: str) -> str:
+def _json_rows(block: RowBlock, indent: str) -> Iterator[str]:
     """The row dicts of ``block`` as JSON text, ``,\n`` + ``indent`` between
-    rows, from one join over constant key pieces and shared value texts."""
-    order = sorted(range(len(block.fields)), key=block.fields.__getitem__)
+    rows, in chunks of ``_CHUNK_ROWS`` rows.
+
+    A row is a few segments: one per column of one text per row, and one
+    per run of consecutive coded columns, whose distinct joint values are
+    rendered once.  The key pieces are inside the segment texts, a
+    per-row column's key in the coded segment before it where there is
+    one, and the row end is in the last segment's.  A chunk is one join
+    over the segments' texts of its rows."""
     n_rows = len(block.columns[0]) if block.columns else 0
     if not n_rows:
-        return ""
-    cells = np.empty((n_rows, 2 * len(order) + 1), dtype=object)
+        return
+    sep = f",\n{indent}"
+    segments: list[tuple[list[str], np.ndarray | None]] = []
+    order = sorted(range(len(block.fields)), key=block.fields.__getitem__)
     for j, k in enumerate(order):
-        cells[:, 2 * j] = f"{',' if j else '{'}\n{indent}  {json.dumps(block.fields[k])}: "
-        cells[:, 2 * j + 1] = _json_column(block.columns[k])
-    cells[:, -1] = f"\n{indent}}},\n{indent}"
-    cells[-1, -1] = f"\n{indent}}}"
-    return "".join(cells.ravel().tolist())
+        key = f"{',' if j else '{'}\n{indent}  {json.dumps(block.fields[k])}: "
+        texts, inverse = _json_column(block.columns[k])
+        prev_texts, prev_inverse = segments[-1] if segments else ([], None)
+        if prev_inverse is None:
+            segments.append(([key + text for text in texts], inverse))
+        elif inverse is None:
+            # the coded segment before takes the key, joined once per distinct text
+            segments[-1] = ([text + key for text in prev_texts], prev_inverse)
+            segments.append((texts, None))
+        else:
+            joint, inverse = np.unique(prev_inverse * len(texts) + inverse, return_inverse=True)
+            pairs = (divmod(code, len(texts)) for code in joint.tolist())
+            segments[-1] = ([prev_texts[p] + key + texts[t] for p, t in pairs], inverse)
+    texts, inverse = segments[-1]
+    segments[-1] = ([f"{text}\n{indent}}}{sep}" for text in texts], inverse)
+    pieces = [(np.array(texts, dtype=object), inverse) for texts, inverse in segments]
+    for start in range(0, n_rows, _CHUNK_ROWS):
+        rows = slice(start, min(start + _CHUNK_ROWS, n_rows))
+        cells = np.empty((rows.stop - start, len(pieces)), dtype=object)
+        for s, (texts, inverse) in enumerate(pieces):
+            cells[:, s] = texts[rows] if inverse is None else texts[inverse[rows]]
+        if rows.stop == n_rows:
+            cells[-1, -1] = cells[-1, -1][: -len(sep)]
+        yield "".join(cells.ravel().tolist())
 
 
 def _json(obj, indent: str) -> Iterator[str]:
     """The text ``json.dumps(obj, indent=2, sort_keys=True)`` writes for
     ``obj`` on a line indented by ``indent``, in pieces: dict keys as
     ``str(k)``, numpy scalars as Python ones, NaN and inf as ``null``.  A
-    ``RowBlock`` (as its row dicts) or a list of scalars is one piece."""
+    list of scalars is one piece, and a ``RowBlock`` (as its row dicts)
+    one piece per chunk of rows."""
     if isinstance(obj, np.ndarray):
         obj = obj.tolist()
     inner = indent + "  "
@@ -253,9 +287,12 @@ def _json(obj, indent: str) -> Iterator[str]:
     elif isinstance(obj, RowBlock) or not any(
         issubclass(kind, _CONTAINERS) for kind in set(map(type, obj))
     ):
-        sep = f",\n{inner}"
-        text = _json_rows(obj, inner) if isinstance(obj, RowBlock) else sep.join(_json_values(obj))
-        yield f"[\n{inner}{text}\n{indent}]" if text else "[]"
+        if isinstance(obj, RowBlock):
+            chunks = _json_rows(obj, inner)
+        else:
+            chunks = iter([f",\n{inner}".join(_json_values(obj))])
+        first = next(chunks, "")
+        yield from chain([f"[\n{inner}", first], chunks, [f"\n{indent}]"]) if first else ["[]"]
     else:
         for n, value in enumerate(obj):
             yield f"{',' if n else '['}\n{inner}"

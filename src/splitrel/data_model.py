@@ -166,6 +166,8 @@ class TestStats:
     leaves ``cos_theta_X`` undefined, reported as NaN).
     """
 
+    __test__ = False  # not a pytest test class, despite its name
+
     mean: float
     variance: float
     norm_X: float

@@ -12,6 +12,7 @@ from splitrel import (
     ItemScores,
     ScoreMatrix,
     ShapeError,
+    TestStats,
     TooSmall,
     descriptive_stats,
     examinee_totals,
@@ -150,7 +151,8 @@ def test_descriptive_stats_to_dict_keys():
     d = st.to_dict()
     for key in ("mean", "variance", "norm_X", "norm_I", "cos_theta_X", "N", "n"):
         assert key in d
-    assert list(d) == [f.name for f in dataclasses.fields(st)]
+    assert type(st) is TestStats
+    assert list(d) == [f.name for f in dataclasses.fields(TestStats)]
     assert d["notes"] == list(st.notes) and type(d["notes"]) is list
 
 

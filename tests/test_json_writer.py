@@ -1,22 +1,27 @@
 """The CLI's one JSON writer, against ``json.dumps`` on the plain value.
 
 ``cli._dump`` renders a whole report in one indented pass: dicts with
-``str(k)`` keys, lists and arrays, ``RowBlock``s as one join over each
-column's distinct value texts, numpy scalars, and NaN or inf as
-``null``.  On random nested values it must write exactly what
-``json.dumps(json_safe(v), indent=2, sort_keys=True)`` writes for the
-same value with every ``RowBlock`` replaced by its row dicts.
+``str(k)`` keys, lists and arrays, ``RowBlock``s in chunks of rows built
+from each column's value texts, numpy scalars, and NaN or inf as
+``null``.  On random nested values, and at any chunk size, it must
+write exactly what ``json.dumps(json_safe(v), indent=2,
+sort_keys=True)`` writes for the same value with every ``RowBlock``
+replaced by its row dicts.
 """
 
 import io
 import json
 import math
 from contextlib import redirect_stdout
+from itertools import accumulate
+from unittest.mock import patch
 
 import numpy as np
+import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from splitrel import cli
 from splitrel.cli import _dump
 from splitrel.truescore import RowBlock
 
@@ -53,11 +58,25 @@ POOLED_INTS = st.sampled_from([0, -1, 2**63 - 1, -(2**63 - 1), -(2**63)]) | INT6
 
 
 @st.composite
+def increasing(draw, n_rows):
+    """A strictly increasing int64 column, as numbered ids are: a start and
+    steps of at least 1, up to the int64 extremes."""
+    start = draw(st.integers(-(2**63) - 1, 2**62 - 1))
+    steps = st.lists(st.integers(1, 2) | st.integers(1, 2**58), min_size=n_rows, max_size=n_rows)
+    return np.array([start + s for s in accumulate(draw(steps))], dtype=np.int64)
+
+
+@st.composite
 def row_blocks(draw):
-    """Columns of one length: numpy arrays, or tuples of any scalars as ids are."""
+    """Columns of one length: numpy arrays, or tuples of any scalars as ids are.
+
+    Strictly increasing int columns (every 1-row int column is one) and
+    tuples take the writer's one-text-per-row path, at any sorted key;
+    pooled columns repeat values, so that consecutive ones form many
+    joint combinations."""
     fields = draw(st.lists(TEXT, unique=True, max_size=4))
     n_rows = draw(st.integers(0, 1) | st.integers(0, 16))
-    ids = st.lists(SCALARS, min_size=n_rows, max_size=n_rows).map(tuple)
+    ids = st.lists(SCALARS, min_size=n_rows, max_size=n_rows).map(tuple) | increasing(n_rows)
     pooled = arrays(n_rows, n_rows, POOLED_INTS, POOLED_FLOATS)
     column = ids | arrays(n_rows, n_rows) | pooled
     return RowBlock(tuple(fields), tuple(draw(column) for _ in fields))
@@ -85,18 +104,48 @@ def plain(value):
     return value
 
 
-@settings(max_examples=400, deadline=None, suppress_health_check=[HealthCheck.too_slow])
-@given(st.dictionaries(st.integers(-3, 3) | TEXT, VALUES, max_size=5))
-def test_dump_writes_the_bytes_of_json_dumps(envelope):
-    expected = json.dumps(json_safe(plain(envelope)), indent=2, sort_keys=True) + "\n"
+# the writer's chunk size, cli._CHUNK_ROWS
+CHUNK = 4096
+
+
+def dumped(envelope) -> str:
     out = io.StringIO()
     with redirect_stdout(out):
         _dump(envelope, None)
-    assert out.getvalue() == expected
+    return out.getvalue()
+
+
+def reference(envelope) -> str:
+    return json.dumps(json_safe(plain(envelope)), indent=2, sort_keys=True) + "\n"
+
+
+@settings(max_examples=400, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(
+    st.dictionaries(st.integers(-3, 3) | TEXT, VALUES, max_size=5),
+    st.sampled_from([1, 2, 3, CHUNK]),
+)
+def test_dump_writes_the_bytes_of_json_dumps(envelope, chunk_rows):
+    with patch.object(cli, "_CHUNK_ROWS", chunk_rows):
+        assert dumped(envelope) == reference(envelope)
+
+
+@pytest.mark.parametrize("n_rows", [CHUNK - 1, CHUNK, CHUNK + 1, 2 * CHUNK + 1])
+def test_row_blocks_across_chunk_boundaries(n_rows):
+    rng = np.random.default_rng(n_rows)
+    block = RowBlock(
+        ("id", "observed", "estimate", "flag", "label"),
+        (
+            np.arange(n_rows) * 3 - 2**40,
+            rng.integers(0, 5, n_rows),
+            rng.choice([0.0, -0.0, 0.1, math.nan, -2.5], n_rows),
+            rng.integers(0, 2, n_rows).astype(bool),
+            tuple(f"e{i}" for i in range(n_rows)),
+        ),
+    )
+    envelope = {"table": {"rows": block, "n": n_rows}}
+    assert dumped(envelope) == reference(envelope)
 
 
 def test_keys_colliding_as_strings_keep_the_last_value():
-    out = io.StringIO()
-    with redirect_stdout(out):
-        _dump({1: "int", "1": "str", "rows": RowBlock(("a",), (np.array([]),))}, None)
-    assert out.getvalue() == '{\n  "1": "str",\n  "rows": []\n}\n'
+    envelope = {1: "int", "1": "str", "rows": RowBlock(("a",), (np.array([]),))}
+    assert dumped(envelope) == '{\n  "1": "str",\n  "rows": []\n}\n'
