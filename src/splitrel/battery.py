@@ -294,10 +294,10 @@ def optimal_weights(d: CovMatrix) -> WeightVector:
         raise Degenerate("e' D^-1 e vanishes; minimum-variance weights undefined")
     w = z / total
     return WeightVector(
-        w=tuple(float(v) for v in w),
+        w=w,
         lam=2.0 / total,
         method="lagrange",
-        warnings=tuple(warnings),
+        warnings=warnings,
     )
 
 
@@ -333,10 +333,10 @@ def nonnegative_weights(d: CovMatrix) -> WeightVector:
                     f"{k - len(support)} weight(s) pinned to zero to stay nonnegative"
                 )
             return WeightVector(
-                w=tuple(float(v) for v in w),
+                w=w,
                 lam=2.0 / total,
                 method="nonneg_qp",
-                warnings=tuple(warnings),
+                warnings=warnings,
             )
         support.pop(int(np.argmin(w_s)))  # argmin picks the lowest index on ties
     raise Degenerate("active-set elimination emptied the support")
@@ -396,10 +396,10 @@ def eigen_weights(d: CovMatrix, variant: str) -> WeightVector:
     w = u / total
     method = "eigen_cov" if variant == "cov_proportional" else "eigen_corr"
     return WeightVector(
-        w=tuple(float(v) for v in w),
+        w=w,
         lam=float(vals[0]),
         method=method,
-        warnings=tuple(warnings),
+        warnings=warnings,
     )
 
 

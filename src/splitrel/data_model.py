@@ -16,6 +16,9 @@ stay cross-checked on every call.
 
 Totals are exact integers; statistics are binary64 floats.  Missing
 responses are not supported: every cell must be exactly 0 or 1.
+
+Score files are comma-separated, one examinee per row; examinees are
+known by their 0-based row positions.
 """
 
 from __future__ import annotations
@@ -28,7 +31,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import CrossCheckFailed, DomainViolation, RangeError, ShapeError, TooSmall
+from .errors import CrossCheckFailed, DomainViolation, ShapeError, TooSmall
 
 __all__ = [
     "ScoreMatrix",
@@ -82,12 +85,11 @@ class ScoreMatrix:
     """Immutable N x n matrix of binary item responses.
 
     ``entries[i, j]`` is examinee i's score on item j, either 0 or 1.
-    Optional id tuples label rows and columns; when present their
-    lengths must match the matrix dimensions.
+    Examinees are known by their row positions.  The optional
+    ``item_ids`` label the columns; when present there is one per item.
     """
 
     entries: np.ndarray
-    examinee_ids: tuple[str, ...] | None = None
     item_ids: tuple[str, ...] | None = None
 
     def __post_init__(self):
@@ -107,15 +109,11 @@ class ScoreMatrix:
         frozen = entries.astype(np.int8, copy=True)
         frozen.setflags(write=False)
         object.__setattr__(self, "entries", frozen)
-        for name, ids, expected in (
-            ("examinee_ids", self.examinee_ids, n_examinees),
-            ("item_ids", self.item_ids, n_items),
-        ):
-            if ids is not None:
-                ids = tuple(str(v) for v in ids)
-                if len(ids) != expected:
-                    raise ShapeError(f"{name} has {len(ids)} labels for {expected} rows/columns")
-                object.__setattr__(self, name, ids)
+        if self.item_ids is not None:
+            ids = tuple(str(v) for v in self.item_ids)
+            if len(ids) != n_items:
+                raise ShapeError(f"item_ids has {len(ids)} labels for {n_items} rows/columns")
+            object.__setattr__(self, "item_ids", ids)
 
     @property
     def n_examinees(self) -> int:
@@ -192,23 +190,6 @@ def variance_from_norms(norm_x: float, cos_theta_x: float, n_examinees: int) -> 
     return norm_x * norm_x * sin_sq / n_examinees
 
 
-# csv would quote or mangle these, so they cannot round-trip
-_RESERVED_DELIMITERS = ("0", "1", '"', "\r", "\n")
-
-
-def _check_delimiter(delimiter) -> None:
-    if (
-        not isinstance(delimiter, str)
-        or len(delimiter) != 1
-        or not delimiter.isascii()
-        or delimiter in _RESERVED_DELIMITERS
-    ):
-        raise RangeError(
-            "delimiter must be one ASCII character other than "
-            f"'0', '1', '\"', CR and LF, got {delimiter!r}"
-        )
-
-
 def _read(source) -> bytes | str:
     if isinstance(source, (str, os.PathLike)):
         with open(source, "rb") as fh:
@@ -218,7 +199,7 @@ def _read(source) -> bytes | str:
     return source.read()
 
 
-def _load_canonical(data: bytes, has_header: bool, delimiter: str) -> ScoreMatrix | None:
+def _load_canonical(data: bytes, has_header: bool) -> ScoreMatrix | None:
     """Parse rows written exactly as ``c,c,...,c\\n`` in one numpy pass.
 
     Returns None for anything else (CRLF, padding, quotes, blank or
@@ -234,7 +215,7 @@ def _load_canonical(data: bytes, has_header: bool, delimiter: str) -> ScoreMatri
         if end < 0 or any(b in line for b in (b'"', b"\r", b"\0")):
             return None
         try:
-            ids = tuple(cell.strip() for cell in line.decode("utf-8").split(delimiter))
+            ids = tuple(cell.strip() for cell in line.decode("utf-8").split(","))
         except UnicodeDecodeError:
             return None
         if all(cell == "" for cell in ids):
@@ -250,7 +231,7 @@ def _load_canonical(data: bytes, has_header: bool, delimiter: str) -> ScoreMatri
     if item_ids is not None and len(item_ids) != n_items:
         return None
     rows = np.frombuffer(data, dtype=np.uint8).reshape(-1, row_bytes)
-    separators = np.full(n_items, ord(delimiter), dtype=np.uint8)
+    separators = np.full(n_items, ord(","), dtype=np.uint8)
     separators[-1] = ord("\n")
     # '0'/'1' minus ord('0') is 0/1; any other byte wraps round past 1
     cells = rows[:, 0::2] - np.uint8(ord("0"))
@@ -259,7 +240,7 @@ def _load_canonical(data: bytes, has_header: bool, delimiter: str) -> ScoreMatri
     return ScoreMatrix(entries=cells, item_ids=item_ids)
 
 
-def _load_with_csv(data: bytes | str, has_header: bool, delimiter: str) -> ScoreMatrix:
+def _load_with_csv(data: bytes | str, has_header: bool) -> ScoreMatrix:
     """The csv-module parser: every input it accepts, every error message."""
     if isinstance(data, bytes):
         try:
@@ -268,7 +249,7 @@ def _load_with_csv(data: bytes | str, has_header: bool, delimiter: str) -> Score
             raise DomainViolation(
                 f"input is not valid UTF-8: byte 0x{data[exc.start]:02x} at offset {exc.start}"
             ) from None
-    reader = csv.reader(io.StringIO(data), delimiter=delimiter)
+    reader = csv.reader(io.StringIO(data))
     item_ids = None
     rows: list[list[int]] = []
     width = None
@@ -305,48 +286,39 @@ def _load_with_csv(data: bytes | str, has_header: bool, delimiter: str) -> Score
     return ScoreMatrix(entries=np.array(rows, dtype=np.int8), item_ids=item_ids)
 
 
-def load_score_matrix(source, *, has_header: bool = False, delimiter: str = ",") -> ScoreMatrix:
-    """Parse a delimited UTF-8 table of 0/1 cells into a ScoreMatrix.
+def load_score_matrix(source, *, has_header: bool = False) -> ScoreMatrix:
+    """Parse a comma-separated UTF-8 table of 0/1 cells into a ScoreMatrix.
 
     ``source`` may be a path, bytes, or a file-like object.  Each row is
-    one examinee, each column one item.  Cells must be exactly "0" or
-    "1" after whitespace trimming; anything else (including blanks) is a
+    one examinee, each column one item; with ``has_header`` the first
+    row labels the items.  Cells must be exactly "0" or "1" after
+    whitespace trimming; anything else (including blanks) is a
     DomainViolation naming the 1-based row and column, and so is input
     that is not valid UTF-8.  Ragged rows are a ShapeError.  Fewer than
-    2 rows or columns is TooSmall.  The delimiter must be one ASCII
-    character other than 0, 1, the quote, CR and LF (RangeError).
+    2 rows or columns is TooSmall.
 
     Rows written exactly as ``c,c,...,c\\n`` are parsed as one byte block;
     any other input goes through the csv module, with the same result.
     """
-    _check_delimiter(delimiter)
     data = _read(source)
     raw = data.encode("utf-8", "surrogatepass") if isinstance(data, str) else data
-    m = _load_canonical(raw, has_header, delimiter)
-    return m if m is not None else _load_with_csv(data, has_header, delimiter)
+    m = _load_canonical(raw, has_header)
+    return m if m is not None else _load_with_csv(data, has_header)
 
 
-def write_score_matrix(m: ScoreMatrix, dest, *, delimiter: str = ",", header: bool = False) -> None:
-    """Serialize a ScoreMatrix back to delimited text (inverse of load).
-
-    ``dest`` is a path or a text handle.  The delimiter rule is the
-    loader's.
-    """
-    _check_delimiter(delimiter)
-    head = io.StringIO()
-    if header and m.item_ids is not None:
-        csv.writer(head, delimiter=delimiter, lineterminator="\n").writerow(m.item_ids)
+def write_score_matrix(m: ScoreMatrix, dest) -> None:
+    """Serialize a ScoreMatrix as ``c,c,...,c\\n`` rows (no header) to a
+    path or a text handle; ``load_score_matrix`` reads it back."""
     n_examinees, n_items = m.entries.shape
     body = np.empty((n_examinees, 2 * n_items), dtype=np.uint8)
     body[:, 0::2] = m.entries + ord("0")
-    body[:, 1::2] = ord(delimiter)
+    body[:, 1::2] = ord(",")
     body[:, -1] = ord("\n")
     if isinstance(dest, (str, os.PathLike)):
         with open(dest, "wb") as fh:
-            fh.write(head.getvalue().encode("utf-8"))
             fh.write(body)
     else:
-        dest.write(head.getvalue() + body.tobytes().decode("ascii"))
+        dest.write(body.tobytes().decode("ascii"))
 
 
 def item_totals(m: ScoreMatrix) -> ItemScores:

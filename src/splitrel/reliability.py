@@ -115,17 +115,18 @@ class ReliabilityReport:
         return {**vars(self), "warnings": list(self.warnings)}
 
 
+def _half_products(s: SubTestScores) -> tuple[int, int, int]:
+    """||X_g||^2, ||X_h||^2 and <X_g, X_h> as exact Python integers."""
+    return int(np.dot(s.g, s.g)), int(np.dot(s.h, s.h)), int(np.dot(s.g, s.h))
+
+
 def error_variance(s: SubTestScores) -> float:
     """Error variance of the whole test: ||X_g - X_h||^2 / N.
 
     Computed as (||X_g||^2 + ||X_h||^2 - 2 <X_g, X_h>) / N with exact
     integer arithmetic in the numerator; the two forms are identical.
     """
-    g = s.g
-    h = s.h
-    sq_g = int(np.dot(g, g))
-    sq_h = int(np.dot(h, h))
-    cross = int(np.dot(g, h))
+    sq_g, sq_h, cross = _half_products(s)
     return (sq_g + sq_h - 2 * cross) / s.n_examinees
 
 
@@ -272,7 +273,8 @@ def classical_reliability(s: SubTestScores, stats: TestStats) -> ReliabilityRepo
         raise ZeroVariance("total-score variance is zero, reliability undefined")
 
     warnings: list[str] = []
-    err = error_variance(s)
+    sq_g, sq_h, cross = _half_products(s)
+    err = (sq_g + sq_h - 2 * cross) / n
     denom = n * stats.variance
     r_tt = 1.0 - err / stats.variance
     if r_tt < 0.0:
@@ -280,9 +282,6 @@ def classical_reliability(s: SubTestScores, stats: TestStats) -> ReliabilityRepo
             "negative reliability: error variance exceeds observed score variance"
         )
 
-    sq_g = int(np.dot(s.g, s.g))
-    sq_h = int(np.dot(s.h, s.h))
-    cross = int(np.dot(s.g, s.h))
     norm_g = math.sqrt(sq_g)
     norm_h = math.sqrt(sq_h)
     r_equal_norm = 1.0 - 2.0 * (norm_g * norm_h - cross) / denom

@@ -76,20 +76,11 @@ class SimModel:
         return {**vars(self), "generator": GENERATOR_ID}
 
 
-def generate(model: SimModel, *, fixed_p: float | None = None) -> ScoreMatrix:
-    """Draw one score matrix under the model.
-
-    ``fixed_p`` bypasses the parameter draw and gives every trial the
-    same success probability; it exists for degenerate-case tests (for
-    example forcing an all-ones matrix with fixed_p=1).
-    """
+def generate(model: SimModel) -> ScoreMatrix:
+    """Draw one score matrix under the model."""
     rng = np.random.Generator(np.random.PCG64(model.seed))
     count = model.N if model.kind in _PER_EXAMINEE else model.n
-    if fixed_p is not None:
-        if not 0.0 <= fixed_p <= 1.0:
-            raise RangeError(f"fixed_p must lie in [0, 1], got {fixed_p}")
-        p = np.full(count, float(fixed_p))
-    elif model.kind in _NORMAL_KINDS:
+    if model.kind in _NORMAL_KINDS:
         p = np.clip(rng.normal(0.5, 0.2, size=count), 0.0, 1.0)
     else:
         p = rng.random(count)

@@ -11,8 +11,8 @@ per-row diagnostic instead of replacing the interval.
 Estimates are never rounded or truncated: an extreme observed score can
 put the estimate outside [0, n], and such rows are flagged, not edited.
 
-Both tables store one column per row field (numpy arrays, apart from
-caller-given ids, which stay a tuple) and compute every column as one
+Examinees are identified by their 0-based row positions.  Both tables
+store one numpy array per row field and compute every column as one
 whole-array expression, with the same IEEE operations per value as the
 row formulas in the docstrings; ``rows`` builds the row tuples on demand.
 """
@@ -23,7 +23,7 @@ import csv
 import io
 import math
 from dataclasses import dataclass
-from typing import ClassVar, Iterator, NamedTuple, Sequence
+from typing import ClassVar, Iterator, NamedTuple
 
 import numpy as np
 
@@ -99,16 +99,8 @@ def _observed(x: ExamineeScores, stats: TestStats) -> np.ndarray:
     return observed
 
 
-def _ids(ids: Sequence[int | str] | None, n_ex: int) -> np.ndarray | tuple:
-    if ids is None:
-        return np.arange(n_ex)
-    if len(ids) != n_ex:
-        raise ShapeError(f"got {len(ids)} ids for {n_ex} examinees")
-    return tuple(ids)
-
-
 class TrueScoreRow(NamedTuple):
-    examinee_id: int | str
+    examinee_id: int
     observed: int
     estimate: float
     low: float
@@ -127,7 +119,7 @@ class TrueScoreTable(_ColumnTable):
 
     _row_type: ClassVar[type] = TrueScoreRow
 
-    examinee_id: np.ndarray | tuple
+    examinee_id: np.ndarray
     observed: np.ndarray
     estimate: np.ndarray
     low: np.ndarray
@@ -156,10 +148,7 @@ class TrueScoreTable(_ColumnTable):
         keys = np.floor(self.estimate)
         order = np.argsort(keys, kind="stable")
         bin_keys, starts = np.unique(keys[order], return_index=True)
-        if isinstance(self.examinee_id, np.ndarray):
-            ids = self.examinee_id[order].tolist()
-        else:
-            ids = [self.examinee_id[i] for i in order.tolist()]
+        ids = self.examinee_id[order].tolist()
         starts = starts.tolist()
         bounds = zip(starts, [*starts[1:], len(ids)])
         return {int(k): ids[a:b] for k, (a, b) in zip(bin_keys.tolist(), bounds)}
@@ -192,13 +181,12 @@ def estimate_true_scores(
     stats: TestStats,
     r: float,
     kind: str,
-    ids: Sequence[int | str] | None = None,
 ) -> TrueScoreTable:
     """Build the regression table T_hat = alpha1 + beta1 * X with intervals.
 
     ``r`` is the reliability to regress with and ``kind`` records where
-    it came from ("classical" or "split_half").  ``ids`` labels the rows;
-    defaults to 0-based positions.  Per row, with X as a float:
+    it came from ("classical" or "split_half").  Rows are numbered by
+    their 0-based positions.  Per row, with X as a float:
     estimate = alpha1 + beta1 * X, low/high = estimate -/+ S_E and
     prediction_error = |X - mean| * (1 - beta1).
     """
@@ -209,7 +197,6 @@ def estimate_true_scores(
     observed = _observed(x, stats)
     if not stats.variance > 0.0:
         raise ZeroVariance("observed-score variance is zero, estimation undefined")
-    ids = _ids(ids, observed.size)
 
     mean = stats.mean
     beta1 = float(r)
@@ -224,7 +211,7 @@ def estimate_true_scores(
     if oor:
         warnings.append(f"{oor} estimate(s) fall outside the score range [0, {stats.n}]")
     return TrueScoreTable(
-        examinee_id=ids,
+        examinee_id=np.arange(observed.size),
         observed=observed,
         estimate=estimate,
         low=estimate - s_e,
@@ -243,7 +230,7 @@ def estimate_true_scores(
 
 
 class EstimatorComparisonRow(NamedTuple):
-    examinee_id: int | str
+    examinee_id: int
     observed: int
     difference: float
     sign: int
@@ -261,7 +248,7 @@ class EstimatorComparison(_ColumnTable):
 
     _row_type: ClassVar[type] = EstimatorComparisonRow
 
-    examinee_id: np.ndarray | tuple
+    examinee_id: np.ndarray
     observed: np.ndarray
     difference: np.ndarray
     sign: np.ndarray
@@ -287,7 +274,6 @@ def compare_estimators(
     stats: TestStats,
     r_tt: float,
     r_gh: float,
-    ids: Sequence[int | str] | None = None,
 ) -> EstimatorComparison:
     """Tabulate T_hat_split_half - T_hat_classical for every examinee.
 
@@ -295,7 +281,6 @@ def compare_estimators(
     """
     observed = _observed(x, stats)
     n_ex = observed.size
-    ids = _ids(ids, n_ex)
     total = int(observed.sum())
     spread = r_gh - r_tt
     # sign(X - mean) from integers: N*X - total never rounds
@@ -307,7 +292,7 @@ def compare_estimators(
             "comparison directions are reversed"
         )
     return EstimatorComparison(
-        examinee_id=ids,
+        examinee_id=np.arange(n_ex),
         observed=observed,
         difference=(observed - stats.mean) * spread,
         sign=sign,

@@ -2,6 +2,7 @@
 
 import csv
 import hashlib
+import inspect
 import io
 import json
 import os
@@ -442,3 +443,25 @@ def test_public_api_surface():
         env=env, capture_output=True, text=True, check=True,
     )
     assert out.stdout == "False\n", out.stderr
+
+
+# the parameters of the entry points whose settings the CLI uses (a
+# value only a test would set is a constant, not a parameter), with the
+# ones that have defaults; perfbench's tracer reads the loader's first
+# argument by the keyword "source"
+ENTRY_POINT_PARAMETERS = {
+    "load_score_matrix": (("source", "has_header"), {"has_header"}),
+    "write_score_matrix": (("m", "dest"), set()),
+    "generate": (("model",), set()),
+    "estimate_true_scores": (("x", "stats", "r", "kind"), set()),
+    "compare_estimators": (("x", "stats", "r_tt", "r_gh"), set()),
+    "ScoreMatrix": (("entries", "item_ids"), {"item_ids"}),
+}
+
+
+@pytest.mark.parametrize("name", sorted(ENTRY_POINT_PARAMETERS))
+def test_entry_points_take_only_the_parameters_in_use(name):
+    names, settable = ENTRY_POINT_PARAMETERS[name]
+    params = inspect.signature(getattr(splitrel, name)).parameters.values()
+    assert tuple(p.name for p in params) == names
+    assert {p.name for p in params if p.default is not p.empty} == settable

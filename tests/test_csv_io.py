@@ -17,7 +17,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from splitrel import RangeError, ScoreMatrix, ToolkitError, load_score_matrix, write_score_matrix
+from splitrel import ScoreMatrix, ToolkitError, load_score_matrix, write_score_matrix
 from splitrel import data_model
 
 PERTURBATIONS = (
@@ -31,7 +31,8 @@ PERTURBATIONS = (
     "bad_utf8",
     "other_delimiter",
 )
-DELIMITERS = (",", ";", "\t")
+# separators of the other_delimiter perturbation; score files use ","
+OTHER_DELIMITERS = (";", "\t")
 BAD_CELLS = ("2", "", "x", "01", "1 1", "-0", "é")
 ID_ALPHABET = "abXY_-.é\"'; \t,"
 
@@ -41,7 +42,7 @@ PROPERTY = settings(
 
 
 def describe(m):
-    return m.entries.tolist(), m.entries.dtype, m.item_ids, m.examinee_ids
+    return m.entries.tolist(), m.entries.dtype, m.item_ids
 
 
 def outcome(load, source, **kwargs):
@@ -52,13 +53,13 @@ def outcome(load, source, **kwargs):
         return type(exc), str(exc)
 
 
-def reference_load(source, *, has_header=False, delimiter=","):
-    return data_model._load_with_csv(source, has_header, delimiter)
+def reference_load(source, *, has_header=False):
+    return data_model._load_with_csv(source, has_header)
 
 
-def reference_write(m, delimiter, header):
+def reference_write(m, header):
     out = io.StringIO()
-    writer = csv.writer(out, delimiter=delimiter, lineterminator="\n")
+    writer = csv.writer(out, lineterminator="\n")
     if header and m.item_ids is not None:
         writer.writerow(m.item_ids)
     for row in m.entries:
@@ -74,8 +75,10 @@ def score_files(draw):
     size = n_rows * n_cols
     cells = draw(st.lists(st.sampled_from("01"), min_size=size, max_size=size))
     rows = [cells[r * n_cols : (r + 1) * n_cols] for r in range(n_rows)]
-    delimiter = draw(st.sampled_from(DELIMITERS))
     chosen = draw(st.sets(st.sampled_from(PERTURBATIONS), max_size=3))
+    delimiter = ","
+    if "other_delimiter" in chosen:
+        delimiter = draw(st.sampled_from(OTHER_DELIMITERS))
 
     def pick_cell():
         r = draw(st.integers(0, n_rows - 1))
@@ -120,19 +123,17 @@ def score_files(draw):
         at = draw(st.integers(0, len(data)))
         data = data[:at] + b"\xff" + data[at:]
     as_text = draw(st.booleans()) and "bad_utf8" not in chosen
-    if "other_delimiter" in chosen:
-        delimiter = draw(st.sampled_from([d for d in DELIMITERS if d != delimiter]))
-    return data, as_text, has_header, delimiter
+    return data, as_text, has_header
 
 
 @PROPERTY
 @given(score_files())
 def test_loader_agrees_with_csv_reference(case):
-    data, as_text, has_header, delimiter = case
+    data, as_text, has_header = case
     content = data.decode("utf-8") if as_text else data
     source = io.StringIO(content) if as_text else data
-    got = outcome(load_score_matrix, source, has_header=has_header, delimiter=delimiter)
-    want = outcome(reference_load, content, has_header=has_header, delimiter=delimiter)
+    got = outcome(load_score_matrix, source, has_header=has_header)
+    want = outcome(reference_load, content, has_header=has_header)
     assert got == want
 
 
@@ -151,30 +152,29 @@ def matrices(draw):
 
 
 @PROPERTY
-@given(matrices(), st.sampled_from(DELIMITERS), st.booleans(), st.booleans())
-def test_canonical_files_take_the_byte_block_path(m, delimiter, header, final_newline):
+@given(matrices(), st.booleans(), st.booleans())
+def test_canonical_files_take_the_byte_block_path(m, header, final_newline):
     with_header = header and m.item_ids is not None and not any(
-        delimiter in label or '"' in label for label in m.item_ids
+        "," in label or '"' in label for label in m.item_ids
     )
-    text = reference_write(m, delimiter, with_header)
+    text = reference_write(m, with_header)
     data = text.encode("utf-8") if final_newline else text[:-1].encode("utf-8")
-    parsed = data_model._load_canonical(data, with_header, delimiter)
+    parsed = data_model._load_canonical(data, with_header)
     assert parsed is not None
-    want = outcome(reference_load, data, has_header=with_header, delimiter=delimiter)
+    want = outcome(reference_load, data, has_header=with_header)
     assert describe(parsed) == want
 
 
 @PROPERTY
-@given(matrices(), st.sampled_from([",", ";", "\t", " ", "|"]), st.booleans())
-def test_writer_matches_csv_writer_and_round_trips(m, delimiter, header):
+@given(matrices())
+def test_writer_matches_csv_writer_and_round_trips(m):
     out = io.StringIO()
-    write_score_matrix(m, out, delimiter=delimiter, header=header)
+    write_score_matrix(m, out)
     text = out.getvalue()
-    assert text == reference_write(m, delimiter, header)
-    with_header = header and m.item_ids is not None
-    back = load_score_matrix(io.StringIO(text), has_header=with_header, delimiter=delimiter)
+    assert text == reference_write(m, False)
+    back = load_score_matrix(io.StringIO(text))
     assert np.array_equal(back.entries, m.entries)
-    assert back.item_ids == (m.item_ids if with_header else None)
+    assert back.item_ids is None
 
 
 def test_writer_to_path_matches_reference_bytes(tmp_path):
@@ -182,19 +182,10 @@ def test_writer_to_path_matches_reference_bytes(tmp_path):
     ids = [f"qé{j}" for j in range(8)] + ['say "hi"']
     m = ScoreMatrix((rng.random((30, 9)) < 0.5).astype(int), item_ids=ids)
     path = tmp_path / "m.csv"
-    write_score_matrix(m, path, header=True)
-    assert path.read_bytes() == reference_write(m, ",", True).encode("utf-8")
-    back = load_score_matrix(path, has_header=True)
-    assert np.array_equal(back.entries, m.entries) and back.item_ids == m.item_ids
-
-
-@pytest.mark.parametrize("delimiter", ["", ",,", "0", "1", '"', "\r", "\n", "é", b","])
-def test_unusable_delimiters_are_range_errors(delimiter, tmp_path):
-    m = ScoreMatrix([[0, 1], [1, 0]])
-    with pytest.raises(RangeError, match="delimiter must be one ASCII character"):
-        load_score_matrix(b"0,1\n1,0\n", delimiter=delimiter)
-    with pytest.raises(RangeError, match="delimiter must be one ASCII character"):
-        write_score_matrix(m, tmp_path / "m.csv", delimiter=delimiter)
+    write_score_matrix(m, path)
+    assert path.read_bytes() == reference_write(m, False).encode("utf-8")
+    back = load_score_matrix(path)
+    assert np.array_equal(back.entries, m.entries) and back.item_ids is None
 
 
 def test_invalid_utf8_is_a_domain_violation_with_offset():

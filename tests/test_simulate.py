@@ -99,15 +99,6 @@ def test_model_validation():
     assert all(type(v) is int for v in (model.N, model.n, model.seed))
 
 
-def test_fixed_p_degenerate_levels():
-    ones = generate(SimModel("D1", 6, 4, seed=3), fixed_p=1.0)
-    zeros = generate(SimModel("D1", 6, 4, seed=3), fixed_p=0.0)
-    assert int(ones.entries.sum()) == 24
-    assert int(zeros.entries.sum()) == 0
-    with pytest.raises(RangeError):
-        generate(SimModel("D1", 6, 4, seed=3), fixed_p=1.5)
-
-
 def test_generated_means_track_probabilities():
     # law of large numbers at modest N: cell mean within a few sd of
     # the mean generative probability

@@ -28,28 +28,21 @@ PROPERTY = settings(
     max_examples=200, deadline=None, suppress_health_check=[HealthCheck.too_slow]
 )
 
-ID_TEXT = st.text(alphabet=st.sampled_from('ab"\\/\x00\x1f\t\n é€😀 '), max_size=6)
+TEXT = st.text(alphabet=st.sampled_from('ab"\\/\x00\x1f\t\n é€😀 '), max_size=6)
 FINITE = st.floats(-1e6, 1e6) | st.sampled_from([-0.0, 0.0, 1e-300, 0.1, 2.5e15])
 ANY_FLOAT = FINITE | st.sampled_from([math.nan, math.inf, -math.inf])
-# None stands for the default ids, the 0-based row positions
-ID_KINDS = {
-    "positions": None,
-    "int": st.integers(),
-    "str": ID_TEXT,
-    "mixed": st.integers() | ID_TEXT,
-}
 
 
 @st.composite
 def tables(draw):
-    """A table and a comparison over the same rows, ids and observed scores."""
+    """A table and a comparison over the same rows and observed scores."""
     n_rows = draw(st.integers(1, 25))
 
     def column(values):
         return draw(st.lists(values, min_size=n_rows, max_size=n_rows))
 
-    ids = ID_KINDS[draw(st.sampled_from(sorted(ID_KINDS)))]
-    ids = np.arange(n_rows) if ids is None else tuple(column(ids))
+    # examinee ids are the 0-based row positions
+    ids = np.arange(n_rows)
     observed = np.array(column(st.integers(0, 60)), dtype=np.int64)
     table = TrueScoreTable(
         examinee_id=ids,
@@ -66,7 +59,7 @@ def tables(draw):
         prediction_error_variance=draw(FINITE),
         prediction_error_gap=draw(FINITE),
         n_items=draw(st.integers(2, 60)),
-        warnings=tuple(draw(st.lists(ID_TEXT, max_size=2))),
+        warnings=tuple(draw(st.lists(TEXT, max_size=2))),
     )
     # r_gh may be undefined (NaN) or below r_tt, as on degenerate splits
     r_tt = draw(st.floats(-1.0, 1.0))
@@ -130,7 +123,7 @@ def test_writers_produce_the_bytes_of_the_row_references(pair, percentile):
 
 def test_row_block_lists_the_row_dicts():
     table = TrueScoreTable(
-        examinee_id=("a", "b"),
+        examinee_id=np.arange(2),
         observed=np.array([3, 5]),
         estimate=np.array([3.5, 4.5]),
         low=np.array([3.0, 4.0]),
@@ -143,6 +136,7 @@ def test_row_block_lists_the_row_dicts():
     )
     d = table.to_dict()
     assert d["rows"].tolist() == [row._asdict() for row in table.rows]
-    assert d["bins"] == {"3": ["a"], "4": ["b"]}
+    assert d["bins"] == {"3": [0], "4": [1]}
+    assert type(table.rows[1].examinee_id) is int
     assert type(table.rows[1].out_of_range) is bool
     assert type(table.rows[1].observed) is int

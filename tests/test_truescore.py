@@ -98,8 +98,10 @@ def test_ids_default_and_mismatch():
     st = make_stats(x, 8)
     table = estimate_true_scores(ExamineeScores(x), st, 0.5, "classical")
     assert [row.examinee_id for row in table.rows] == [0, 1, 2]
-    with pytest.raises(ShapeError):
-        estimate_true_scores(ExamineeScores(x), st, 0.5, "classical", ids=["a"])
+    comparison = compare_estimators(ExamineeScores(x), st, 0.5, 0.6)
+    assert [row.examinee_id for row in comparison.rows] == [0, 1, 2]
+    with pytest.raises(ShapeError, match="stats describe 3 examinees but scores have 2"):
+        estimate_true_scores(ExamineeScores([2, 4]), st, 0.5, "classical")
 
 
 def test_bin_lookup_uses_unit_floor_bins():
@@ -116,13 +118,11 @@ def test_bin_lookup_uses_unit_floor_bins():
 def test_to_csv_round_trips():
     x = [3, 9, 6, 6]
     st = make_stats(x, 12)
-    table = estimate_true_scores(
-        ExamineeScores(x), st, 0.5, "classical", ids=["p1", "p2", "p3", "p4"]
-    )
+    table = estimate_true_scores(ExamineeScores(x), st, 0.5, "classical")
     text = table.to_csv()
     rows = list(csv.DictReader(io.StringIO(text)))
     assert len(rows) == 4
-    assert rows[0]["examinee_id"] == "p1"
+    assert [row["examinee_id"] for row in rows] == ["0", "1", "2", "3"]
     assert float(rows[1]["estimate"]) == pytest.approx(table.rows[1].estimate)
 
 
