@@ -7,9 +7,13 @@ the tool version, the sha256 digest of every input file, and the
 effective parameters.  Nothing time-dependent goes into a report, so a
 rerun on the same inputs writes byte-identical output.
 
+A command loads the toolkit modules it runs the first time it runs them,
+so ``simulate`` never loads the splitter and ``reliability`` never loads
+the battery algebra.
+
 Exit codes: 0 success, 1 usage or validation error (or too little
 memory), 2 degenerate computation (zero variance, singular matrix,
-failed cross-check).
+failed cross-check, or a reliability outside [0, 1] for ``truescore``).
 """
 
 from __future__ import annotations
@@ -18,49 +22,55 @@ import argparse
 import hashlib
 import json
 import math
+import os
 import sys
 import time
-from importlib import resources
+from importlib import import_module, resources
 from itertools import chain
-from typing import Iterable, Iterator, NamedTuple
+from typing import TYPE_CHECKING, Iterable, Iterator, NamedTuple
+
+# An idle OpenBLAS worker spins for about 2**28 cycles before it sleeps,
+# and start-up pays for that spin; with 2**4 it sleeps at once.  Only the
+# wait changes, not the thread count, so no threaded sum changes its order.
+# A value the caller set wins.
+os.environ.setdefault("OPENBLAS_THREAD_TIMEOUT", "4")
 
 import numpy as np
 
 from ._version import __version__
-from .battery import (
-    BatteryInput,
-    ComponentTest,
-    covariance_matrix,
-    eigen_weights,
-    equal_weights,
-    nonnegative_weights,
-    optimal_weights,
-    weighted_reliability,
-)
 from .data_model import (
     ExamineeScores,
+    RowBlock,
     ScoreMatrix,
     TestStats,
     descriptive_stats,
     load_score_matrix,
     write_score_matrix,
 )
-from .errors import RangeError, TooSmall, ToolkitError
-from .reliability import (
-    ReliabilityReport,
-    SubTestScores,
-    classical_reliability,
-    sub_test_scores,
-    true_score_geometry,
-)
-from .simulate import SimModel, generate
-from .splitter import SplitResult, split
-from .truescore import (
-    RowBlock,
-    compare_estimators,
-    estimate_true_scores,
-    percentile_rank,
-)
+from .errors import Degenerate, TooSmall, ToolkitError
+
+if TYPE_CHECKING:
+    # bound at run time by ``_bind``, when a command first needs them
+    from .battery import (
+        BatteryInput,
+        ComponentTest,
+        covariance_matrix,
+        eigen_weights,
+        equal_weights,
+        nonnegative_weights,
+        optimal_weights,
+        weighted_reliability,
+    )
+    from .reliability import (
+        ReliabilityReport,
+        SubTestScores,
+        classical_reliability,
+        sub_test_scores,
+        true_score_geometry,
+    )
+    from .simulate import SimModel, generate
+    from .splitter import SplitResult, split
+    from .truescore import compare_estimators, estimate_true_scores, percentile_rank
 
 __all__ = ["Analysis", "analyze", "scaling_suite", "main", "load_schema"]
 
@@ -74,6 +84,35 @@ _CONTAINERS = (dict, list, tuple, np.ndarray, RowBlock)
 
 # namespace entries that are not analysis parameters of the envelope
 _NOT_PARAMETERS = frozenset({"command", "handler", "input", "inputs", "output", "fmt"})
+
+# the toolkit modules that ``_bind`` loads when a command first runs them
+_LAZY_MODULES = ("splitter", "reliability", "truescore", "battery", "simulate")
+_bound: set[str] = set()
+
+
+def _bind(*modules: str) -> None:
+    """Bind the public names of each toolkit module in ``modules`` here, once.
+
+    A name already bound keeps its value, so a function a caller has
+    replaced here (a tracer's wrapper, a test's stub) is the one called.
+    """
+    for module in modules:
+        if module not in _bound:
+            loaded = import_module(f".{module}", __package__)
+            for name in loaded.__all__:
+                globals().setdefault(name, getattr(loaded, name))
+            _bound.add(module)
+
+
+def __getattr__(name: str):
+    # a toolkit name looked up from outside before any command bound it;
+    # the import system's probes, such as ``__path__``, load nothing
+    if not name.startswith("_"):
+        _bind(*_LAZY_MODULES)
+    try:
+        return globals()[name]
+    except KeyError:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}") from None
 
 
 class _Parser(argparse.ArgumentParser):
@@ -103,6 +142,7 @@ def analyze(m: ScoreMatrix, result: SplitResult) -> Analysis:
     The stats describe the reduced test: a dropped odd item is in
     neither half, so it does not count towards n.
     """
+    _bind("reliability")
     scores = sub_test_scores(m, result.assignment)
     reduced_n = m.n_items - (result.assignment.dropped_item is not None)
     stats = descriptive_stats(ExamineeScores(scores.combined()), reduced_n)
@@ -124,6 +164,7 @@ def scaling_suite(
     """
     if not sizes:
         raise TooSmall("scaling suite needs at least one (N, n) size")
+    _bind("simulate", "splitter")
     child_seeds = np.random.SeedSequence(seed).generate_state(len(sizes), dtype=np.uint64)
     rows = []
     for (n_examinees, n_items), child in zip(sizes, child_seeds):
@@ -203,25 +244,19 @@ def _json_values(values: list) -> list[str]:
     ]
 
 
-def _json_column(column) -> tuple[list[str], np.ndarray | None]:
+def _json_column(column: np.ndarray) -> tuple[list[str], np.ndarray | None]:
     """The JSON texts of a ``RowBlock`` column and the row codes into them.
 
-    A float64 array (keyed on its bits, so -0.0 stays apart from 0.0) or
-    an int or bool array that is not strictly increasing gives its
-    distinct texts and each row's index into them, which is exact as
-    ``_json_values`` renders each value on its own.  A strictly
-    increasing int array, such as ids, and any other column give one
-    text per row and ``None``."""
-    if isinstance(column, np.ndarray) and (
-        column.dtype == np.float64 or column.dtype.kind in "iub"
-    ):
-        if column.dtype.kind in "iu" and np.all(column[1:] > column[:-1]):
-            return list(map(int.__repr__, column.tolist())), None
-        keys = column.view(np.uint64) if column.dtype == np.float64 else column
-        distinct, inverse = np.unique(keys, return_inverse=True)
-        return _json_values(distinct.view(column.dtype).tolist()), inverse
-    values = column.tolist() if isinstance(column, np.ndarray) else list(column)
-    return _json_values(values), None
+    A strictly increasing int array, such as ids, gives one text per row
+    and ``None``.  Any other float64, int or bool array (a float keyed on
+    its bits, so -0.0 stays apart from 0.0) gives its distinct texts and
+    each row's index into them, which is exact as ``_json_values``
+    renders each value on its own."""
+    if column.dtype.kind in "iu" and np.all(column[1:] > column[:-1]):
+        return list(map(int.__repr__, column.tolist())), None
+    keys = column.view(np.uint64) if column.dtype == np.float64 else column
+    distinct, inverse = np.unique(keys, return_inverse=True)
+    return _json_values(distinct.view(column.dtype).tolist()), inverse
 
 
 def _json_rows(block: RowBlock, indent: str) -> Iterator[str]:
@@ -311,6 +346,7 @@ def load_schema() -> dict:
 
 
 def _load_and_split(path: str, args: argparse.Namespace) -> tuple[ScoreMatrix, SplitResult]:
+    _bind("splitter")
     m = load_score_matrix(path, has_header=args.has_header)
     return m, split(m, args.criterion, max_iter=args.max_iter, policy=args.policy)
 
@@ -366,10 +402,15 @@ def _cmd_reliability(args: argparse.Namespace) -> None:
 
 
 def _cmd_truescore(args: argparse.Namespace) -> None:
+    _bind("truescore")
     _, scores, stats, report = analyze(*_load_and_split(args.input, args))
     r = report.r_tt if args.reliability_kind == "classical" else report.r_gh
-    if math.isnan(r):
-        raise RangeError("selected reliability is undefined for this input")
+    if not 0.0 <= r <= 1.0:
+        # a negative or undefined reliability is degenerate data, not bad input
+        raise Degenerate(
+            f"{args.reliability_kind} reliability is {r!r}, outside [0, 1], "
+            "so true scores are undefined"
+        )
     x = ExamineeScores(scores.combined())
     table = estimate_true_scores(x, stats, r, args.reliability_kind)
     if args.fmt == "csv":
@@ -404,6 +445,7 @@ def _pick_weights(method: str, d, k: int):
 
 
 def _cmd_battery(args: argparse.Namespace) -> None:
+    _bind("battery")
     tests = []
     details = []
     for path in args.inputs:
@@ -439,6 +481,7 @@ def _cmd_battery(args: argparse.Namespace) -> None:
 
 
 def _cmd_simulate(args: argparse.Namespace) -> None:
+    _bind("simulate")
     model = SimModel(kind=args.model, N=args.N, n=args.n, seed=args.seed)
     write_score_matrix(generate(model), args.output)
     meta = dict(model.metadata())

@@ -28,6 +28,7 @@ import io
 import math
 import os
 from dataclasses import dataclass
+from typing import Iterator
 
 import numpy as np
 
@@ -177,6 +178,27 @@ class TestStats:
 
     def to_dict(self) -> dict:
         return {**vars(self), "notes": list(self.notes)}
+
+
+@dataclass(frozen=True)
+class RowBlock:
+    """The ``rows`` entry of a per-examinee table's ``to_dict()``, kept as columns.
+
+    ``columns[k]`` is a 1-dimensional float64, int or bool numpy array
+    holding the values of ``fields[k]``, one per row.  ``tolist()`` gives
+    the list of row dicts the block stands for; the CLI's JSON writer
+    renders it straight from the columns.
+    """
+
+    fields: tuple[str, ...]
+    columns: tuple[np.ndarray, ...]
+
+    def column_lists(self) -> Iterator[list]:
+        """Each column as a list of Python scalars, converted as it is reached."""
+        return (column.tolist() for column in self.columns)
+
+    def tolist(self) -> list[dict]:
+        return [dict(zip(self.fields, values)) for values in zip(*self.column_lists())]
 
 
 def mean_from_norms(norm_x: float, cos_theta_x: float, n_examinees: int) -> float:

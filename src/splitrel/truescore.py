@@ -23,11 +23,11 @@ import csv
 import io
 import math
 from dataclasses import dataclass
-from typing import ClassVar, Iterator, NamedTuple
+from typing import ClassVar, NamedTuple
 
 import numpy as np
 
-from .data_model import ExamineeScores, TestStats
+from .data_model import ExamineeScores, RowBlock, TestStats
 from .errors import RangeError, ShapeError, ZeroVariance
 
 __all__ = [
@@ -41,30 +41,6 @@ __all__ = [
 ]
 
 _KINDS = ("classical", "split_half")
-
-
-def _tolist(column) -> list:
-    return column.tolist() if isinstance(column, np.ndarray) else list(column)
-
-
-@dataclass(frozen=True)
-class RowBlock:
-    """The ``rows`` entry of a table's ``to_dict()``, kept as columns.
-
-    ``columns[k]`` holds the values of ``fields[k]``, one per row.
-    ``tolist()`` gives the list of row dicts the block stands for; the
-    CLI's JSON writer renders it straight from the columns.
-    """
-
-    fields: tuple[str, ...]
-    columns: tuple
-
-    def column_lists(self) -> Iterator[list]:
-        """Each column as a list of Python scalars, converted as it is reached."""
-        return map(_tolist, self.columns)
-
-    def tolist(self) -> list[dict]:
-        return [dict(zip(self.fields, values)) for values in zip(*self.column_lists())]
 
 
 class _ColumnTable:

@@ -129,17 +129,45 @@ def test_truescore_table_and_percentile(schema, matrix_csv):
     assert rep["comparison"]["rows"][0].keys() >= {"observed", "difference", "sign"}
 
 
+# items 1-2 give every examinee one point and items 3-4 give 0 or 2, so
+# the balanced split has a constant g half: r_gh is NaN and r_tt 0
+CONSTANT_HALF = "1,0,1,1\n1,0,1,1\n1,0,0,0\n1,0,0,0\n0,1,1,1\n0,1,0,0\n"
+
+
 def test_truescore_with_a_constant_half_writes_null_differences(schema, tmp_path):
-    # items 1-2 give every examinee one point and items 3-4 give 0 or 2,
-    # so the balanced split has a constant g half: r_gh is NaN and r_tt 0
     p = tmp_path / "constant-half.csv"
-    p.write_text("1,0,1,1\n1,0,1,1\n1,0,0,0\n1,0,0,0\n0,1,1,1\n0,1,0,0\n")
+    p.write_text(CONSTANT_HALF)
     rep = run_json(schema, "truescore", "--input", str(p))["report"]
     assert rep["reliability"]["r_gh"] is None
     assert rep["reliability"]["r_tt"] == 0.0
     rows = rep["comparison"]["rows"]
     assert len(rows) == 6
     assert all(row["difference"] is None and row["sign"] == 0 for row in rows)
+
+
+def test_truescore_with_a_negative_reliability_exits_two(tmp_path):
+    # a well-formed D4 draw whose classical reliability is just below 0
+    path = str(tmp_path / "d4.csv")
+    code, _, err = run_cli("simulate", "--model", "D4", "--N", "500", "--n", "30",
+                           "--seed", "1", "--output", path)
+    assert code == 0, err
+    code, out, err = run_cli("truescore", "--input", path)
+    assert (code, out) == (2, "")
+    assert err == (
+        "error[Degenerate]: classical reliability is -0.0040497145204050344, "
+        "outside [0, 1], so true scores are undefined\n"
+    )
+
+
+def test_truescore_on_an_undefined_split_half_reliability_exits_two(tmp_path):
+    p = tmp_path / "constant-half.csv"
+    p.write_text(CONSTANT_HALF)
+    code, out, err = run_cli("truescore", "--input", str(p), "--kind", "split_half")
+    assert (code, out) == (2, "")
+    assert err == (
+        "error[Degenerate]: split_half reliability is nan, "
+        "outside [0, 1], so true scores are undefined\n"
+    )
 
 
 def test_truescore_csv_lists_every_examinee(matrix_csv):
@@ -436,13 +464,21 @@ def test_public_api_surface():
     assert all(hasattr(splitrel, name) for name in names)
     assert set(names) == PUBLIC_API
     assert "RowBlock" not in names
-    # importing the package must not pay for the CLI's imports
+    assert set(names) <= set(dir(splitrel))
+    # importing the package loads its version and nothing else, not even
+    # numpy; a star import then gives every public name
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
-    out = subprocess.run(
-        [sys.executable, "-c", "import sys, splitrel; print('splitrel.cli' in sys.modules)"],
-        env=env, capture_output=True, text=True, check=True,
+    code = (
+        "import sys, splitrel\n"
+        "print(*sorted(m for m in sys.modules if m.startswith('splitrel')), 'numpy' in sys.modules)\n"
+        "star = {}\n"
+        "exec('from splitrel import *', star)\n"
+        "print(sorted(set(star) - {'__builtins__'}) == sorted(splitrel.__all__), len(star) - 1)\n"
     )
-    assert out.stdout == "False\n", out.stderr
+    out = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+    )
+    assert out.stdout == f"splitrel splitrel._version False\nTrue {len(PUBLIC_API)}\n", out.stderr
 
 
 # the parameters of the entry points whose settings the CLI uses (a

@@ -68,17 +68,16 @@ def increasing(draw, n_rows):
 
 @st.composite
 def row_blocks(draw):
-    """Columns of one length: numpy arrays, or tuples of any scalars as ids are.
+    """Columns of one length, each a float64, int64 or bool numpy array.
 
-    Strictly increasing int columns (every 1-row int column is one) and
-    tuples take the writer's one-text-per-row path, at any sorted key;
+    Strictly increasing int columns, as ids are (every 1-row int column
+    is one), take the writer's one-text-per-row path, at any sorted key;
     pooled columns repeat values, so that consecutive ones form many
     joint combinations."""
     fields = draw(st.lists(TEXT, unique=True, max_size=4))
     n_rows = draw(st.integers(0, 1) | st.integers(0, 16))
-    ids = st.lists(SCALARS, min_size=n_rows, max_size=n_rows).map(tuple) | increasing(n_rows)
     pooled = arrays(n_rows, n_rows, POOLED_INTS, POOLED_FLOATS)
-    column = ids | arrays(n_rows, n_rows) | pooled
+    column = increasing(n_rows) | arrays(n_rows, n_rows) | pooled
     return RowBlock(tuple(fields), tuple(draw(column) for _ in fields))
 
 
@@ -133,13 +132,13 @@ def test_dump_writes_the_bytes_of_json_dumps(envelope, chunk_rows):
 def test_row_blocks_across_chunk_boundaries(n_rows):
     rng = np.random.default_rng(n_rows)
     block = RowBlock(
-        ("id", "observed", "estimate", "flag", "label"),
+        ("id", "observed", "estimate", "flag", "serial"),
         (
             np.arange(n_rows) * 3 - 2**40,
             rng.integers(0, 5, n_rows),
             rng.choice([0.0, -0.0, 0.1, math.nan, -2.5], n_rows),
             rng.integers(0, 2, n_rows).astype(bool),
-            tuple(f"e{i}" for i in range(n_rows)),
+            np.arange(n_rows) + 2**40,
         ),
     )
     envelope = {"table": {"rows": block, "n": n_rows}}
