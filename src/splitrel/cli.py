@@ -402,6 +402,9 @@ def _cmd_reliability(args: argparse.Namespace) -> None:
 
 
 def _cmd_truescore(args: argparse.Namespace) -> None:
+    if args.fmt == "csv" and args.percentile_of is not None:
+        # the CSV table has no place for the rank, so it would be dropped
+        raise _UsageError("argument --percentile-of: not allowed with --format csv")
     _bind("truescore")
     _, scores, stats, report = analyze(*_load_and_split(args.input, args))
     r = report.r_tt if args.reliability_kind == "classical" else report.r_gh

@@ -28,7 +28,6 @@ import io
 import math
 import os
 from dataclasses import dataclass
-from typing import Iterator
 
 import numpy as np
 
@@ -193,12 +192,9 @@ class RowBlock:
     fields: tuple[str, ...]
     columns: tuple[np.ndarray, ...]
 
-    def column_lists(self) -> Iterator[list]:
-        """Each column as a list of Python scalars, converted as it is reached."""
-        return (column.tolist() for column in self.columns)
-
     def tolist(self) -> list[dict]:
-        return [dict(zip(self.fields, values)) for values in zip(*self.column_lists())]
+        rows = zip(*(column.tolist() for column in self.columns))
+        return [dict(zip(self.fields, values)) for values in rows]
 
 
 def mean_from_norms(norm_x: float, cos_theta_x: float, n_examinees: int) -> float:

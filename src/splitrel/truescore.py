@@ -11,10 +11,11 @@ per-row diagnostic instead of replacing the interval.
 Estimates are never rounded or truncated: an extreme observed score can
 put the estimate outside [0, n], and such rows are flagged, not edited.
 
-Examinees are identified by their 0-based row positions.  Both tables
-store one numpy array per row field and compute every column as one
-whole-array expression, with the same IEEE operations per value as the
-row formulas in the docstrings; ``rows`` builds the row tuples on demand.
+Examinees are identified by their 0-based row positions.  A table's
+columns are exactly its fields that hold numpy arrays, one value per
+examinee in field order; they name the CSV header and the JSON row keys.
+Every column is one whole-array expression, with the same IEEE
+operations per value as the row formulas in the docstrings.
 """
 
 from __future__ import annotations
@@ -23,7 +24,6 @@ import csv
 import io
 import math
 from dataclasses import dataclass
-from typing import ClassVar, NamedTuple
 
 import numpy as np
 
@@ -31,9 +31,7 @@ from .data_model import ExamineeScores, RowBlock, TestStats
 from .errors import RangeError, ShapeError, ZeroVariance
 
 __all__ = [
-    "TrueScoreRow",
     "TrueScoreTable",
-    "EstimatorComparisonRow",
     "EstimatorComparison",
     "estimate_true_scores",
     "compare_estimators",
@@ -44,28 +42,25 @@ _KINDS = ("classical", "split_half")
 
 
 class _ColumnTable:
-    """Per-examinee columns named by the fields of ``_row_type``."""
-
-    _row_type: ClassVar[type]
+    """A per-examinee table: its numpy-array fields, in field order, are its
+    columns, and its other fields are scalars of the whole table."""
 
     def __post_init__(self) -> None:
-        for name in self._row_type._fields:
-            column = getattr(self, name)
-            if isinstance(column, np.ndarray):
-                column.setflags(write=False)
+        for column in self._row_block().columns:
+            column.setflags(write=False)
 
     @property
     def n_examinees(self) -> int:
         return len(self.observed)
 
-    @property
-    def rows(self) -> tuple:
-        """One row tuple per examinee, built from the columns on each access."""
-        return tuple(map(self._row_type._make, zip(*self._row_block().column_lists())))
-
     def _row_block(self) -> RowBlock:
-        fields = self._row_type._fields
-        return RowBlock(fields, tuple(getattr(self, name) for name in fields))
+        columns = {k: v for k, v in vars(self).items() if isinstance(v, np.ndarray)}
+        return RowBlock(tuple(columns), tuple(columns.values()))
+
+    def to_dict(self) -> dict:
+        block = self._row_block()
+        scalars = {k: v for k, v in vars(self).items() if k not in block.fields}
+        return {**scalars, "rows": block, "warnings": list(self.warnings)}
 
 
 def _observed(x: ExamineeScores, stats: TestStats) -> np.ndarray:
@@ -75,25 +70,12 @@ def _observed(x: ExamineeScores, stats: TestStats) -> np.ndarray:
     return observed
 
 
-class TrueScoreRow(NamedTuple):
-    examinee_id: int
-    observed: int
-    estimate: float
-    low: float
-    high: float
-    prediction_error: float
-    out_of_range: bool
-
-
 @dataclass(frozen=True, eq=False)
 class TrueScoreTable(_ColumnTable):
     """Estimates for one administration under one reliability figure.
 
-    The first seven fields are columns, one value per examinee, in the
-    order and with the names of ``TrueScoreRow``'s fields.
+    The first seven fields are the columns, one value per examinee.
     """
-
-    _row_type: ClassVar[type] = TrueScoreRow
 
     examinee_id: np.ndarray
     observed: np.ndarray
@@ -130,25 +112,16 @@ class TrueScoreTable(_ColumnTable):
         return {int(k): ids[a:b] for k, (a, b) in zip(bin_keys.tolist(), bounds)}
 
     def to_dict(self) -> dict:
-        return {
-            "reliability_kind": self.reliability_kind,
-            "alpha1": self.alpha1,
-            "beta1": self.beta1,
-            "S_E": self.S_E,
-            "prediction_error_variance": self.prediction_error_variance,
-            "prediction_error_gap": self.prediction_error_gap,
-            "n_items": self.n_items,
-            "rows": self._row_block(),
-            "bins": {str(k): ids for k, ids in self.bin_lookup().items()},
-            "warnings": list(self.warnings),
-        }
+        bins = {str(k): ids for k, ids in self.bin_lookup().items()}
+        return {**super().to_dict(), "bins": bins}
 
     def to_csv(self) -> str:
-        """One CSV row per examinee, after a header of the row fields."""
+        """One CSV row per examinee, after a header of the column names."""
+        block = self._row_block()
         buf = io.StringIO()
         writer = csv.writer(buf)
-        writer.writerow(TrueScoreRow._fields)
-        writer.writerows(zip(*self._row_block().column_lists()))
+        writer.writerow(block.fields)
+        writer.writerows(zip(*(column.tolist() for column in block.columns)))
         return buf.getvalue()
 
 
@@ -168,8 +141,6 @@ def estimate_true_scores(
     """
     if not 0.0 <= r <= 1.0:
         raise RangeError(f"reliability must lie in [0, 1], got {r}")
-    if kind not in _KINDS:
-        raise RangeError(f"unknown reliability kind {kind!r}")
     observed = _observed(x, stats)
     if not stats.variance > 0.0:
         raise ZeroVariance("observed-score variance is zero, estimation undefined")
@@ -205,13 +176,6 @@ def estimate_true_scores(
     )
 
 
-class EstimatorComparisonRow(NamedTuple):
-    examinee_id: int
-    observed: int
-    difference: float
-    sign: int
-
-
 @dataclass(frozen=True, eq=False)
 class EstimatorComparison(_ColumnTable):
     """Split-half minus classical estimate, row by row.
@@ -219,10 +183,8 @@ class EstimatorComparison(_ColumnTable):
     The difference collapses to (X - mean) * (r_gh - r_tt), so its sign
     is the sign of (X - mean) whenever r_gh >= r_tt and flips otherwise.
     Signs are computed in exact integer arithmetic.  The first four
-    fields are columns, named as ``EstimatorComparisonRow``'s fields.
+    fields are the columns.
     """
-
-    _row_type: ClassVar[type] = EstimatorComparisonRow
 
     examinee_id: np.ndarray
     observed: np.ndarray
@@ -231,14 +193,6 @@ class EstimatorComparison(_ColumnTable):
     r_tt: float
     r_gh: float
     warnings: tuple[str, ...]
-
-    def to_dict(self) -> dict:
-        return {
-            "r_tt": self.r_tt,
-            "r_gh": self.r_gh,
-            "rows": self._row_block(),
-            "warnings": list(self.warnings),
-        }
 
 
 def _sign(v) -> int:

@@ -433,14 +433,14 @@ def test_criterion_8_sign_law_exact(criterion):
     total = sum(totals)
     n_ex = len(totals)
     all_exact = True
-    for row, x in zip(comp.rows, totals):
+    for row, x in zip(comp.to_dict()["rows"].tolist(), totals):
         dev = n_ex * x - total
         expected = (dev > 0) - (dev < 0)
-        all_exact &= row.sign == expected
+        all_exact &= row["sign"] == expected
         if expected != 0:
-            all_exact &= (row.difference > 0) == (expected > 0)
+            all_exact &= (row["difference"] > 0) == (expected > 0)
         else:
-            all_exact &= row.difference == 0.0
+            all_exact &= row["difference"] == 0.0
     criterion(
         8,
         f"sign law exact on a constructed r_gh=1 > r_tt={rep.r_tt:.3f} dataset "
@@ -468,8 +468,8 @@ def test_criterion_8_sign_law_exact(criterion):
         comp = compare_estimators(ExamineeScores(s.combined()), st, rep.r_tt, rep.r_gh)
         totals = [int(v) for v in s.combined()]
         total = sum(totals)
-        for row, x in zip(comp.rows, totals):
+        for row, x in zip(comp.to_dict()["rows"].tolist(), totals):
             dev = len(totals) * x - total
-            law_holds &= row.sign == (dev > 0) - (dev < 0)
+            law_holds &= row["sign"] == (dev > 0) - (dev < 0)
     criterion(8, f"sign law exact on {qualifying} screened random datasets", law_holds)
     assert law_holds

@@ -293,6 +293,22 @@ def test_non_finite_percentile_of_is_a_usage_error(matrix_csv, t):
     assert errors == [f"error[_UsageError]: {message}"]
 
 
+def test_percentile_of_with_csv_format_is_a_usage_error(tmp_path, monkeypatch):
+    # the CSV table has no place for the rank, which it used to drop silently
+    monkeypatch.chdir(tmp_path)
+    rng = np.random.default_rng(5)
+    write_score_matrix(ScoreMatrix((rng.random((50, 10)) < 0.6).astype(int)), "m.csv")
+    code, out, err = run_cli(
+        "truescore", "--input", "m.csv", "--format", "csv", "--percentile-of", "5"
+    )
+    assert code == 1
+    assert out == ""
+    assert err.splitlines() == [
+        "error[_UsageError]: argument --percentile-of: not allowed with --format csv"
+    ]
+    assert sorted(os.listdir(tmp_path)) == ["m.csv"]
+
+
 def test_bin_width_beyond_int64_gives_one_bin(schema, matrix_csv):
     width = 10**20
     doc = run_json(schema, "reliability", "--input", matrix_csv, "--bin-width", str(width))
@@ -434,7 +450,8 @@ def test_version_flag():
 
 
 # the package's exported names, as listed before each module's __all__
-# became their only declaration
+# became their only declaration, less the true-score row tuples, which
+# left the API when the tables became their columns
 PUBLIC_API = {
     "__version__",
     "ToolkitError", "DomainViolation", "ShapeError", "TooSmall", "Unsupported",
@@ -448,7 +465,7 @@ PUBLIC_API = {
     "SubTestScores", "ReliabilityReport", "TrueScoreGeometry", "sub_test_scores",
     "error_variance", "split_half_correlation", "f_test_equal_variance",
     "classical_reliability", "true_score_geometry",
-    "TrueScoreRow", "TrueScoreTable", "EstimatorComparisonRow", "EstimatorComparison",
+    "TrueScoreTable", "EstimatorComparison",
     "estimate_true_scores", "compare_estimators", "percentile_rank",
     "ComponentTest", "BatteryInput", "CovMatrix", "WeightVector", "BatteryReport",
     "covariance_matrix", "summative_reliability", "weighted_reliability",

@@ -23,6 +23,11 @@ def make_stats(values, n_items):
     return descriptive_stats(ExamineeScores(values), n_items)
 
 
+def rows(table):
+    """The table's row dicts, as its JSON report lists them."""
+    return table.to_dict()["rows"].tolist()
+
+
 def test_regression_line_matches_hand_computation():
     x = [10, 14, 6, 10]
     st = make_stats(x, 20)  # mean 10, variance 8
@@ -30,21 +35,20 @@ def test_regression_line_matches_hand_computation():
     assert table.beta1 == pytest.approx(0.75)
     assert table.alpha1 == pytest.approx(2.5)
     assert table.S_E == pytest.approx(math.sqrt(0.25 * 8.0))
-    est = [row.estimate for row in table.rows]
-    assert est == pytest.approx([10.0, 13.0, 7.0, 10.0])
+    assert table.estimate.tolist() == pytest.approx([10.0, 13.0, 7.0, 10.0])
     # shrinkage: every estimate sits between the score and the mean
-    for row in table.rows:
-        lo, hi = sorted((row.observed, st.mean))
-        assert lo - 1e-12 <= row.estimate <= hi + 1e-12
+    for row in rows(table):
+        lo, hi = sorted((row["observed"], st.mean))
+        assert lo - 1e-12 <= row["estimate"] <= hi + 1e-12
 
 
 def test_interval_is_plus_minus_one_error_sd():
     x = [3, 9, 6, 6]
     st = make_stats(x, 12)
     table = estimate_true_scores(ExamineeScores(x), st, 0.5, "split_half")
-    for row in table.rows:
-        assert row.high - row.estimate == pytest.approx(table.S_E)
-        assert row.estimate - row.low == pytest.approx(table.S_E)
+    for row in rows(table):
+        assert row["high"] - row["estimate"] == pytest.approx(table.S_E)
+        assert row["estimate"] - row["low"] == pytest.approx(table.S_E)
 
 
 def test_prediction_error_diagnostics():
@@ -58,9 +62,9 @@ def test_prediction_error_diagnostics():
     assert table.S_E**2 == pytest.approx(
         table.prediction_error_variance + table.prediction_error_gap
     )
-    for row in table.rows:
-        assert row.prediction_error == pytest.approx(
-            abs(row.observed - st.mean) * (1 - r)
+    for row in rows(table):
+        assert row["prediction_error"] == pytest.approx(
+            abs(row["observed"] - st.mean) * (1 - r)
         )
 
 
@@ -70,9 +74,9 @@ def test_out_of_range_estimates_flagged_not_clamped():
     x = [9, 1, 5, 5]
     st = make_stats(x, 8)
     table = estimate_true_scores(ExamineeScores(x), st, 1.0, "classical")
-    flagged = [row for row in table.rows if row.out_of_range]
-    assert [row.observed for row in flagged] == [9]
-    assert flagged[0].estimate == pytest.approx(9.0)
+    flagged = [row for row in rows(table) if row["out_of_range"]]
+    assert [row["observed"] for row in flagged] == [9]
+    assert flagged[0]["estimate"] == pytest.approx(9.0)
     assert table.warnings and "outside" in table.warnings[0]
 
 
@@ -97,9 +101,9 @@ def test_ids_default_and_mismatch():
     x = [2, 4, 6]
     st = make_stats(x, 8)
     table = estimate_true_scores(ExamineeScores(x), st, 0.5, "classical")
-    assert [row.examinee_id for row in table.rows] == [0, 1, 2]
+    assert table.examinee_id.tolist() == [0, 1, 2]
     comparison = compare_estimators(ExamineeScores(x), st, 0.5, 0.6)
-    assert [row.examinee_id for row in comparison.rows] == [0, 1, 2]
+    assert comparison.examinee_id.tolist() == [0, 1, 2]
     with pytest.raises(ShapeError, match="stats describe 3 examinees but scores have 2"):
         estimate_true_scores(ExamineeScores([2, 4]), st, 0.5, "classical")
 
@@ -120,10 +124,10 @@ def test_to_csv_round_trips():
     st = make_stats(x, 12)
     table = estimate_true_scores(ExamineeScores(x), st, 0.5, "classical")
     text = table.to_csv()
-    rows = list(csv.DictReader(io.StringIO(text)))
-    assert len(rows) == 4
-    assert [row["examinee_id"] for row in rows] == ["0", "1", "2", "3"]
-    assert float(rows[1]["estimate"]) == pytest.approx(table.rows[1].estimate)
+    lines = list(csv.DictReader(io.StringIO(text)))
+    assert len(lines) == 4
+    assert [line["examinee_id"] for line in lines] == ["0", "1", "2", "3"]
+    assert float(lines[1]["estimate"]) == pytest.approx(table.estimate[1])
 
 
 def test_percentile_rank_is_empirical_cdf():
@@ -142,11 +146,11 @@ def test_compare_estimators_sign_law_on_shifted_halves():
     x = [4, 12, 8, 4, 12]
     st = make_stats(x, 16)
     comp = compare_estimators(ExamineeScores(x), st, r_tt=0.6, r_gh=0.9)
-    for row in comp.rows:
-        dev = row.observed - st.mean
+    for row in rows(comp):
+        dev = row["observed"] - st.mean
         expected = (dev > 0) - (dev < 0)
-        assert row.sign == expected
-        assert row.difference == pytest.approx(0.3 * dev)
+        assert row["sign"] == expected
+        assert row["difference"] == pytest.approx(0.3 * dev)
     assert comp.warnings == ()
 
 
@@ -155,18 +159,18 @@ def test_compare_estimators_flags_reversed_direction():
     st = make_stats(x, 16)
     comp = compare_estimators(ExamineeScores(x), st, r_tt=0.9, r_gh=0.6)
     assert any("reversed" in w for w in comp.warnings)
-    for row in comp.rows:
-        dev = row.observed - st.mean
-        assert row.sign == -((dev > 0) - (dev < 0))
+    for row in rows(comp):
+        dev = row["observed"] - st.mean
+        assert row["sign"] == -((dev > 0) - (dev < 0))
 
 
 def test_compare_estimators_mean_scorer_has_zero_sign():
     x = [4, 12, 8]
     st = make_stats(x, 16)
     comp = compare_estimators(ExamineeScores(x), st, r_tt=0.5, r_gh=0.8)
-    middle = comp.rows[2]
-    assert middle.observed == 8 and middle.sign == 0
-    assert middle.difference == pytest.approx(0.0)
+    middle = rows(comp)[2]
+    assert middle["observed"] == 8 and middle["sign"] == 0
+    assert middle["difference"] == pytest.approx(0.0)
 
 
 def test_compare_matches_direct_table_subtraction():
@@ -177,10 +181,7 @@ def test_compare_matches_direct_table_subtraction():
     classical = estimate_true_scores(ExamineeScores(x), st, r_tt, "classical")
     halfwise = estimate_true_scores(ExamineeScores(x), st, r_gh, "split_half")
     comp = compare_estimators(ExamineeScores(x), st, r_tt, r_gh)
-    for row, c_row, h_row in zip(comp.rows, classical.rows, halfwise.rows):
-        assert row.difference == pytest.approx(
-            h_row.estimate - c_row.estimate, abs=1e-9
-        )
+    assert comp.difference == pytest.approx(halfwise.estimate - classical.estimate, abs=1e-9)
 
 
 def _sign(v):
