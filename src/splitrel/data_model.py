@@ -18,7 +18,9 @@ Totals are exact integers; statistics are binary64 floats.  Missing
 responses are not supported: every cell must be exactly 0 or 1.
 
 Score files are comma-separated, one examinee per row; examinees are
-known by their 0-based row positions.
+known by their 0-based row positions.  ``load_score_matrix`` maps a
+file given by path instead of copying it, and parses canonical rows
+in place as (cell, separator) byte pairs, a block of rows at a time.
 """
 
 from __future__ import annotations
@@ -26,7 +28,9 @@ from __future__ import annotations
 import csv
 import io
 import math
+import mmap
 import os
+import stat
 from dataclasses import dataclass
 
 import numpy as np
@@ -48,6 +52,8 @@ __all__ = [
 ]
 
 _REL_TOL = 1e-9
+# cells per row block of the canonical parse: its uint16 buffer stays small
+_BLOCK_CELLS = 1 << 16
 
 
 def _frozen_int_array(values, dtype=np.int64):
@@ -208,23 +214,65 @@ def variance_from_norms(norm_x: float, cos_theta_x: float, n_examinees: int) -> 
     return norm_x * norm_x * sin_sq / n_examinees
 
 
-def _read(source) -> bytes | str:
+def _read(source) -> bytes | str | mmap.mmap:
+    """The bytes of a path, bytes or file-like source.
+
+    A non-empty regular file comes back as a read-only memory map, which
+    the caller closes; anything else (an empty file, a FIFO, a ``/proc``
+    file reporting size 0, bytes, a handle) as bytes or str.
+    """
     if isinstance(source, (str, os.PathLike)):
         with open(source, "rb") as fh:
+            info = os.fstat(fh.fileno())
+            if stat.S_ISREG(info.st_mode) and info.st_size > 0:
+                return mmap.mmap(fh.fileno(), 0, access=mmap.ACCESS_READ)
             return fh.read()
     if isinstance(source, bytes):
         return source
     return source.read()
 
 
-def _load_canonical(data: bytes, has_header: bool) -> ScoreMatrix | None:
-    """Parse rows written exactly as ``c,c,...,c\\n`` in one numpy pass.
+def _parse_pairs(
+    data: bytes | mmap.mmap, offset: int, n_rows: int, n_items: int
+) -> np.ndarray | None:
+    """The int8 cells of ``n_rows`` rows ``c,c,...,c\\n`` at ``data[offset:]``.
 
-    Returns None for anything else (CRLF, padding, quotes, blank or
-    ragged rows, bad cells, a blank or quoted header, too few rows or
-    columns), which the csv reader then parses or rejects.
+    The body is read as little-endian uint16 (cell, separator) pairs.
+    Less the expected pair ``','<<8 | '0'`` (``'\\n'<<8 | '0'`` in the
+    last column), a pair is 0 or 1 mod 2**16 exactly when its separator
+    is right and its cell is ``0`` or ``1``; every other byte pair wraps
+    round past 1.  Returns None at the first row block that holds such
+    a pair.  Both arrays are allocated before the view of ``data`` is
+    taken, so a failed allocation leaves no view to keep a map open.
+    """
+    rows_per_block = max(1, _BLOCK_CELLS // n_items)
+    cells = np.empty((n_rows, n_items), dtype=np.int8)
+    block = np.empty((min(rows_per_block, n_rows), n_items), dtype=np.uint16)
+    expected = np.full(n_items, ord(",") << 8 | ord("0"), dtype=np.uint16)
+    expected[-1] = ord("\n") << 8 | ord("0")
+    pairs = np.frombuffer(data, dtype="<u2", count=n_rows * n_items, offset=offset)
+    pairs = pairs.reshape(n_rows, n_items)
+    for start in range(0, n_rows, rows_per_block):
+        rows = pairs[start : start + rows_per_block]
+        diff = block[: len(rows)]
+        np.subtract(rows, expected, out=diff)
+        if diff.max() > 1:
+            return None
+        cells[start : start + len(rows)] = diff
+    return cells
+
+
+def _load_canonical(data: bytes | mmap.mmap, has_header: bool) -> ScoreMatrix | None:
+    """Parse rows written exactly as ``c,c,...,c\\n`` without the csv module.
+
+    ``data`` is bytes or a memory map; the body is read in place, not
+    copied, unless the final newline is missing.  Returns None for
+    anything else (CRLF, padding, quotes, blank or ragged rows, bad
+    cells, a blank or quoted header, too few rows or columns), which the
+    csv reader then parses or rejects.
     """
     item_ids = None
+    offset = 0
     if has_header:
         end = data.find(b"\n")
         line = data[:end]
@@ -239,23 +287,30 @@ def _load_canonical(data: bytes, has_header: bool) -> ScoreMatrix | None:
         if all(cell == "" for cell in ids):
             return None
         item_ids = ids
-        data = data[end + 1 :]
-    if not data.endswith(b"\n"):
-        data += b"\n"
-    row_bytes = data.find(b"\n") + 1
+        offset = end + 1
+    if data[-1:] != b"\n":
+        data = bytes(data[offset:]) + b"\n"
+        offset = 0
+    body_bytes = len(data) - offset
+    row_bytes = data.find(b"\n", offset) + 1 - offset
     n_items = row_bytes // 2
-    if n_items < 2 or row_bytes % 2 or len(data) % row_bytes or len(data) < 2 * row_bytes:
+    if n_items < 2 or row_bytes % 2 or body_bytes % row_bytes or body_bytes < 2 * row_bytes:
         return None
     if item_ids is not None and len(item_ids) != n_items:
         return None
-    rows = np.frombuffer(data, dtype=np.uint8).reshape(-1, row_bytes)
-    separators = np.full(n_items, ord(","), dtype=np.uint8)
-    separators[-1] = ord("\n")
-    # '0'/'1' minus ord('0') is 0/1; any other byte wraps round past 1
-    cells = rows[:, 0::2] - np.uint8(ord("0"))
-    if (cells > 1).any() or not (rows[:, 1::2] == separators).all():
-        return None
-    return ScoreMatrix(entries=cells, item_ids=item_ids)
+    cells = _parse_pairs(data, offset, body_bytes // row_bytes, n_items)
+    return None if cells is None else ScoreMatrix(entries=cells, item_ids=item_ids)
+
+
+def _records(reader):
+    """The reader's records, with a csv.Error (a lone CR, or on Python
+    3.10 a NUL, in a cell) raised as a DomainViolation."""
+    try:
+        yield from reader
+    except csv.Error as exc:
+        # csv's own hint about universal-newline mode is no use to a caller
+        reason = str(exc).partition(" - ")[0]
+        raise DomainViolation(f"unreadable CSV at line {reader.line_num}: {reason}") from None
 
 
 def _load_with_csv(data: bytes | str, has_header: bool) -> ScoreMatrix:
@@ -272,7 +327,7 @@ def _load_with_csv(data: bytes | str, has_header: bool) -> ScoreMatrix:
     rows: list[list[int]] = []
     width = None
     data_row = 0
-    for record in reader:
+    for record in _records(reader):
         if not record or all(cell.strip() == "" for cell in record):
             continue
         if has_header and item_ids is None and not rows:
@@ -312,16 +367,27 @@ def load_score_matrix(source, *, has_header: bool = False) -> ScoreMatrix:
     row labels the items.  Cells must be exactly "0" or "1" after
     whitespace trimming; anything else (including blanks) is a
     DomainViolation naming the 1-based row and column, and so is input
-    that is not valid UTF-8.  Ragged rows are a ShapeError.  Fewer than
+    that is not valid UTF-8 or that the csv module cannot read (a lone
+    carriage return in a cell).  Ragged rows are a ShapeError.  Fewer than
     2 rows or columns is TooSmall.
 
-    Rows written exactly as ``c,c,...,c\\n`` are parsed as one byte block;
-    any other input goes through the csv module, with the same result.
+    A non-empty regular file is memory-mapped read-only and the map is
+    closed before return; a file truncated while it is read can end the
+    process with SIGBUS.  Rows written exactly as ``c,c,...,c\\n`` are
+    checked and converted in place, as 16-bit (cell, separator) pairs in
+    blocks of rows; any other input goes through the csv module, with
+    the same result.
     """
     data = _read(source)
-    raw = data.encode("utf-8", "surrogatepass") if isinstance(data, str) else data
-    m = _load_canonical(raw, has_header)
-    return m if m is not None else _load_with_csv(data, has_header)
+    try:
+        raw = data.encode("utf-8", "surrogatepass") if isinstance(data, str) else data
+        m = _load_canonical(raw, has_header)
+        if m is not None:
+            return m
+        return _load_with_csv(bytes(data) if isinstance(data, mmap.mmap) else data, has_header)
+    finally:
+        if isinstance(data, mmap.mmap):
+            data.close()
 
 
 def write_score_matrix(m: ScoreMatrix, dest) -> None:

@@ -36,6 +36,12 @@ __all__ = [
     "true_score_geometry",
 ]
 
+# float32 holds every integer up to 2**24 exactly, so a half score over
+# at most that many items is exact in it
+_FLOAT32_EXACT_ITEMS = 1 << 24
+# rows per BLAS product in sub_test_scores: the float copy of a block stays small
+_HALF_SCORE_ROWS = 1024
+
 _F_TEST_NOTE = (
     "F-test compares observed sub-test score variances, an approximation "
     "to the unobservable error variances"
@@ -72,14 +78,28 @@ class SubTestScores:
 
 
 def sub_test_scores(m: ScoreMatrix, a: Assignment) -> SubTestScores:
-    """Row sums of the two column blocks selected by an assignment."""
+    """Row sums of the two column blocks selected by an assignment.
+
+    Both halves come from one BLAS product per block of rows: the 0/1
+    cells times an n x 2 indicator of the g and h items.  In float32 up
+    to 2**24 items, in float64 above that, every partial sum is an
+    integer the format holds exactly, so the half scores are exact
+    whatever order BLAS adds them in and however many threads it uses.
+    """
     n = m.n_items
     for j in (*a.g_items, *a.h_items):
         if j >= n:
             raise ShapeError(f"assignment references item {j} of a {n}-item matrix")
-    g = m.entries[:, list(a.g_items)].sum(axis=1, dtype=np.int64)
-    h = m.entries[:, list(a.h_items)].sum(axis=1, dtype=np.int64)
-    return SubTestScores(g, h)
+    dtype = np.float32 if n <= _FLOAT32_EXACT_ITEMS else np.float64
+    pick = np.zeros((n, 2), dtype=dtype)
+    pick[list(a.g_items), 0] = 1
+    pick[list(a.h_items), 1] = 1
+    halves = np.empty((m.n_examinees, 2), dtype=dtype)
+    for start in range(0, m.n_examinees, _HALF_SCORE_ROWS):
+        block = m.entries[start : start + _HALF_SCORE_ROWS]
+        np.matmul(block.astype(dtype), pick, out=halves[start : start + len(block)])
+    scores = halves.astype(np.int64)
+    return SubTestScores(scores[:, 0], scores[:, 1])
 
 
 class TrueScoreGeometry(NamedTuple):

@@ -1,16 +1,21 @@
 """Score-matrix CSV I/O: the byte-block fast paths against csv-module references.
 
 ``load_score_matrix`` parses canonical files (rows written exactly as
-``c,c,...,c\\n``) as one numpy byte block and sends everything else to
-the kept csv-module parser, ``data_model._load_with_csv``.  The property
-tests perturb random matrices in every way that leaves the canonical
-form and require both to return the same matrix or raise the same
-error.  ``write_score_matrix`` is compared byte for byte with a
+``c,c,...,c\\n``) as 16-bit (cell, separator) pairs, in place, and sends
+everything else to the kept csv-module parser,
+``data_model._load_with_csv``.  The property tests perturb random
+matrices in every way that leaves the canonical form, and an exhaustive
+oracle substitutes every byte value at every position of small files;
+both loaders must return the same matrix or raise the same error, from
+bytes, text or a path.  ``write_score_matrix`` is compared byte for byte with a
 ``csv.writer`` reference.
 """
 
 import csv
 import io
+import mmap
+import os
+import threading
 
 import numpy as np
 import pytest
@@ -126,15 +131,100 @@ def score_files(draw):
     return data, as_text, has_header
 
 
+@pytest.fixture(scope="module")
+def score_path(tmp_path_factory):
+    return tmp_path_factory.mktemp("score_files") / "scores.csv"
+
+
 @PROPERTY
-@given(score_files())
-def test_loader_agrees_with_csv_reference(case):
+@given(case=score_files())
+def test_loader_agrees_with_csv_reference(case, score_path):
     data, as_text, has_header = case
     content = data.decode("utf-8") if as_text else data
     source = io.StringIO(content) if as_text else data
     got = outcome(load_score_matrix, source, has_header=has_header)
     want = outcome(reference_load, content, has_header=has_header)
     assert got == want
+    # the CLI passes a path, which a non-empty file reaches as a memory map
+    score_path.write_bytes(data)
+    assert outcome(load_score_matrix, score_path, has_header=has_header) == want
+
+
+@pytest.mark.parametrize(
+    "data, has_header, kind",
+    [
+        (b"", False, data_model.TooSmall),
+        (b"0,1\n1,0\n1,1", False, list),
+        (b"a,b,c\n0,1,1\n1,0,0\n", True, list),
+        (b"q1,q2\n0,1\n1,1", True, list),
+        (b"q1,q2\n", True, data_model.TooSmall),
+    ],
+    ids=["empty", "no_final_newline", "header", "header_no_final_newline", "header_only"],
+)
+def test_file_by_path_agrees_with_csv_reference(tmp_path, data, has_header, kind):
+    # kind: the error class, or list for the cells of a loaded matrix
+    path = tmp_path / "scores.csv"
+    path.write_bytes(data)
+    want = outcome(reference_load, data, has_header=has_header)
+    assert want[0] is kind or type(want[0]) is kind
+    assert outcome(load_score_matrix, path, has_header=has_header) == want
+    assert outcome(load_score_matrix, str(path), has_header=has_header) == want
+
+
+@pytest.mark.parametrize(
+    "data", [b"0,1\n1,0\n", b"0,1\n1,2\n", b"0, 1\n1,0\n"], ids=["canonical", "bad_cell", "csv"]
+)
+def test_memory_map_is_closed_on_return(tmp_path, monkeypatch, data):
+    maps = []
+
+    class RecordedMap(mmap.mmap):
+        def __new__(cls, *args, **kwargs):
+            maps.append(super().__new__(cls, *args, **kwargs))
+            return maps[-1]
+
+    monkeypatch.setattr(mmap, "mmap", RecordedMap)
+    path = tmp_path / "scores.csv"
+    path.write_bytes(data)
+    want = outcome(reference_load, data)
+    assert outcome(load_score_matrix, path) == want
+    assert len(maps) == 1 and maps[0].closed
+
+
+@pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs named pipes")
+def test_fifo_is_read_like_a_file(tmp_path):
+    # a FIFO reports size 0 and cannot be mapped, so it is read to its end
+    data = b"0,1,1\n1,0,1\n1,1,0\n"
+    path = tmp_path / "scores.fifo"
+    os.mkfifo(path)
+    writer = threading.Thread(target=path.write_bytes, args=(data,), daemon=True)
+    writer.start()
+    got = outcome(load_score_matrix, path)
+    writer.join(timeout=10)
+    assert not writer.is_alive()
+    assert got == outcome(reference_load, data)
+
+
+# canonical files whose every byte the exhaustive oracle replaces by each of 0-255
+SMALL_FILES = (
+    (b"0,1,1\n1,0,0\n1,1,0\n", False),
+    (b"a,b,c\n0,1,1\n1,0,0\n1,1,0\n", True),
+)
+
+
+@pytest.mark.parametrize("data, has_header", SMALL_FILES, ids=["plain", "header"])
+@pytest.mark.parametrize("block_cells", [None, 1], ids=["one_block", "block_per_row"])
+def test_every_byte_substitution_matches_the_csv_reference(
+    monkeypatch, data, has_header, block_cells
+):
+    if block_cells is not None:
+        monkeypatch.setattr(data_model, "_BLOCK_CELLS", block_cells)
+    for at in range(len(data)):
+        for byte in range(256):
+            mutated = data[:at] + bytes([byte]) + data[at + 1 :]
+            want = outcome(reference_load, mutated, has_header=has_header)
+            parsed = data_model._load_canonical(mutated, has_header)
+            assert parsed is None or describe(parsed) == want, (at, byte)
+            assert outcome(load_score_matrix, mutated, has_header=has_header) == want, (at, byte)
 
 
 @st.composite
@@ -186,6 +276,15 @@ def test_writer_to_path_matches_reference_bytes(tmp_path):
     assert path.read_bytes() == reference_write(m, False).encode("utf-8")
     back = load_score_matrix(path)
     assert np.array_equal(back.entries, m.entries) and back.item_ids is None
+
+
+@pytest.mark.parametrize("data", [b"0,1,1\n1,0\r0\n1,1,0\n", b"0,1\n1,\r1\n0,0\n"])
+def test_lone_carriage_return_in_a_cell_is_a_domain_violation(tmp_path, data):
+    path = tmp_path / "cr.csv"
+    path.write_bytes(data)
+    message = r"^unreadable CSV at line 2: new-line character seen in unquoted field$"
+    with pytest.raises(data_model.DomainViolation, match=message):
+        load_score_matrix(path)
 
 
 def test_invalid_utf8_is_a_domain_violation_with_offset():

@@ -56,6 +56,72 @@ def test_sub_test_scores_sum_columns():
     assert np.array_equal(s.combined(), s.g.astype(np.int64) + s.h)
 
 
+def gathered_halves(m, a):
+    """The int64 column-gather reference for ``sub_test_scores``."""
+    entries = m.entries.astype(np.int64)
+    return entries[:, list(a.g_items)].sum(axis=1), entries[:, list(a.h_items)].sum(axis=1)
+
+
+def random_split(rng, n_examinees, n_items):
+    m = ScoreMatrix(rng.random((n_examinees, n_items)) < rng.random(n_items))
+    order = rng.permutation(n_items)
+    half = n_items // 2
+    dropped = int(order[-1]) if n_items % 2 else None
+    return m, Assignment(order[:half], order[half : 2 * half], dropped)
+
+
+@pytest.mark.parametrize(
+    "n_examinees, n_items",
+    [(1023, 7), (1024, 8), (1025, 401), (1025, 2), (3, 2999), (2100, 3000)],
+)
+def test_blas_half_scores_equal_the_int64_gathers(n_examinees, n_items):
+    # row counts on both sides of the 1024-row block, odd n with a dropped item
+    rng = np.random.default_rng(n_examinees * 7919 + n_items)
+    m, a = random_split(rng, n_examinees, n_items)
+    s = sub_test_scores(m, a)
+    g, h = gathered_halves(m, a)
+    assert s.g.dtype == s.h.dtype == np.int64
+    assert np.array_equal(s.g, g) and np.array_equal(s.h, h)
+
+
+def test_float64_half_scores_equal_the_int64_gathers(monkeypatch):
+    # above the float32 exactness threshold the products run in float64
+    monkeypatch.setattr(reliability, "_FLOAT32_EXACT_ITEMS", 1)
+    rng = np.random.default_rng(5)
+    for n_examinees, n_items in ((1025, 401), (1023, 30), (4, 3)):
+        m, a = random_split(rng, n_examinees, n_items)
+        s = sub_test_scores(m, a)
+        g, h = gathered_halves(m, a)
+        assert s.g.dtype == s.h.dtype == np.int64
+        assert np.array_equal(s.g, g) and np.array_equal(s.h, h)
+
+
+HALF_SCORE_DIGEST = """
+import hashlib
+import numpy as np
+from splitrel import Assignment, ScoreMatrix, sub_test_scores
+
+rng = np.random.default_rng(17)
+m = ScoreMatrix(rng.random((20000, 401)) < rng.random(401))
+order = rng.permutation(401)
+s = sub_test_scores(m, Assignment(order[:200], order[200:400], int(order[400])))
+print(hashlib.sha256(s.g.tobytes() + s.h.tobytes()).hexdigest())
+"""
+
+
+def test_half_scores_do_not_depend_on_the_blas_thread_count():
+    env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
+    env["PYTHONPATH"] = os.pathsep.join(sys.path)
+    digests = [
+        subprocess.run(
+            [sys.executable, "-c", HALF_SCORE_DIGEST],
+            env=threads, capture_output=True, text=True, check=True, timeout=120,
+        ).stdout
+        for threads in (env, {**env, "OPENBLAS_NUM_THREADS": "1"})
+    ]
+    assert digests[0] == digests[1] and len(digests[0].strip()) == 64
+
+
 def test_error_variance_is_exact_mean_squared_gap():
     s = SubTestScores(g=[3, 1, 4], h=[2, 2, 0])
     # (1 + 1 + 16) / 3
