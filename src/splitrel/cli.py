@@ -23,9 +23,10 @@ import hashlib
 import json
 import math
 import os
+import stat
 import sys
 import time
-from importlib import import_module, resources
+from importlib import import_module
 from itertools import chain
 from typing import TYPE_CHECKING, Iterable, Iterator, NamedTuple
 
@@ -83,7 +84,9 @@ _CHUNK_ROWS = 4096
 _CONTAINERS = (dict, list, tuple, np.ndarray, RowBlock)
 
 # namespace entries that are not analysis parameters of the envelope
-_NOT_PARAMETERS = frozenset({"command", "handler", "input", "inputs", "output", "fmt"})
+_NOT_PARAMETERS = frozenset(
+    {"command", "handler", "input", "inputs", "output", "fmt", "digests"}
+)
 
 # the toolkit modules that ``_bind`` loads when a command first runs them
 _LAZY_MODULES = ("splitter", "reliability", "truescore", "battery", "simulate")
@@ -207,7 +210,7 @@ def _envelope(args: argparse.Namespace, report: dict) -> dict:
         "version": __version__,
         "command": args.command,
         "parameters": {k: v for k, v in options.items() if k not in _NOT_PARAMETERS},
-        "inputs": {path: _sha256(path) for path in paths},
+        "inputs": {path: args.digests.get(path) or _sha256(path) for path in paths},
         "report": report,
     }
 
@@ -341,13 +344,21 @@ def _dump(envelope: dict, output: str | None) -> None:
 
 def load_schema() -> dict:
     """The published JSON schema that every report envelope satisfies."""
+    from importlib import resources
+
     text = resources.files("splitrel").joinpath("report_schema.json").read_text("utf-8")
     return json.loads(text)
 
 
 def _load_and_split(path: str, args: argparse.Namespace) -> tuple[ScoreMatrix, SplitResult]:
     _bind("splitter")
-    m = load_score_matrix(path, has_header=args.has_header)
+    source = path
+    if not stat.S_ISREG(os.stat(path).st_mode):
+        # a pipe or FIFO gives its bytes once: digest the bytes parsed
+        with open(path, "rb") as fh:
+            source = fh.read()
+        args.digests[path] = hashlib.sha256(source).hexdigest()
+    m = load_score_matrix(source, has_header=args.has_header)
     return m, split(m, args.criterion, max_iter=args.max_iter, policy=args.policy)
 
 
@@ -612,6 +623,7 @@ def main(argv: list[str] | None = None) -> int:
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)
+        args.digests = {}  # sha256 of each input read once, by path
         args.handler(args)
         return 0
     except ToolkitError as exc:

@@ -48,7 +48,6 @@ __all__ = [
     "examinee_totals",
     "descriptive_stats",
     "mean_from_norms",
-    "variance_from_norms",
 ]
 
 _REL_TOL = 1e-9
@@ -206,12 +205,6 @@ class RowBlock:
 def mean_from_norms(norm_x: float, cos_theta_x: float, n_examinees: int) -> float:
     """Test mean from the score-vector norm and its angle: ||X|| cos(theta)/sqrt(N)."""
     return norm_x * cos_theta_x / math.sqrt(n_examinees)
-
-
-def variance_from_norms(norm_x: float, cos_theta_x: float, n_examinees: int) -> float:
-    """Population test variance from the geometry: ||X||^2 sin(theta)^2 / N."""
-    sin_sq = 1.0 - cos_theta_x * cos_theta_x
-    return norm_x * norm_x * sin_sq / n_examinees
 
 
 def _read(source) -> bytes | str | mmap.mmap:

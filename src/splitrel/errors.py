@@ -12,7 +12,6 @@ __all__ = [
     "DomainViolation",
     "ShapeError",
     "TooSmall",
-    "Unsupported",
     "RangeError",
     "DegeneracyError",
     "ZeroVariance",
@@ -38,10 +37,6 @@ class ShapeError(ToolkitError):
 
 class TooSmall(ToolkitError):
     """Fewer examinees or items than the method requires."""
-
-
-class Unsupported(ToolkitError):
-    """Request outside the supported parameter range."""
 
 
 class RangeError(ToolkitError):

@@ -29,7 +29,6 @@ __all__ = [
     "ReliabilityReport",
     "TrueScoreGeometry",
     "sub_test_scores",
-    "error_variance",
     "split_half_correlation",
     "f_test_equal_variance",
     "classical_reliability",
@@ -138,16 +137,6 @@ class ReliabilityReport:
 def _half_products(s: SubTestScores) -> tuple[int, int, int]:
     """||X_g||^2, ||X_h||^2 and <X_g, X_h> as exact Python integers."""
     return int(np.dot(s.g, s.g)), int(np.dot(s.h, s.h)), int(np.dot(s.g, s.h))
-
-
-def error_variance(s: SubTestScores) -> float:
-    """Error variance of the whole test: ||X_g - X_h||^2 / N.
-
-    Computed as (||X_g||^2 + ||X_h||^2 - 2 <X_g, X_h>) / N with exact
-    integer arithmetic in the numerator; the two forms are identical.
-    """
-    sq_g, sq_h, cross = _half_products(s)
-    return (sq_g + sq_h - 2 * cross) / s.n_examinees
 
 
 def split_half_correlation(s: SubTestScores) -> float:

@@ -18,12 +18,11 @@ are 0-based positions into the item-totals vector throughout.
 
 from __future__ import annotations
 
-import itertools
 import operator
 from dataclasses import dataclass
 
 from .data_model import ItemScores, ScoreMatrix, item_totals
-from .errors import DomainViolation, RangeError, ShapeError, TooSmall, Unsupported
+from .errors import DomainViolation, RangeError, ShapeError, TooSmall
 
 __all__ = [
     "Assignment",
@@ -31,7 +30,6 @@ __all__ = [
     "seed_allocation",
     "swap_refine",
     "product_refine",
-    "brute_force_split",
     "split",
 ]
 
@@ -346,39 +344,6 @@ def product_refine(
 
     final = Assignment(tuple(g), tuple(h), a.dropped_item)
     return _diagnostics(final, scores, iterations, tuple(history), "product")
-
-
-def brute_force_split(tau: ItemScores) -> SplitResult:
-    """Exhaustive balanced-bipartition oracle, for testing only.
-
-    Enumerates every way to split an even number of items into equal
-    halves (item 0 pinned to g, since swapping labels changes nothing)
-    and returns the split minimising ``abs_S``; ties go to the
-    lexicographically smallest g-side.  Capped at 20 items.
-    """
-    scores = tau.as_ints()
-    n = len(scores)
-    if n % 2 or n > 20:
-        raise Unsupported(
-            f"exhaustive split handles an even item count of at most 20, got {n}"
-        )
-    total = sum(scores)
-    best_abs: int | None = None
-    best_g: tuple[int, ...] = ()
-    # combinations() yields lexicographically, so the first minimum wins ties
-    for combo in itertools.combinations(range(1, n), n // 2 - 1):
-        sum_g = scores[0] + sum(scores[j] for j in combo)
-        abs_s = abs(2 * sum_g - total)
-        if best_abs is None or abs_s < best_abs:
-            best_abs = abs_s
-            best_g = (0, *combo)
-            if abs_s == 0:
-                break
-    g = sorted(best_g, key=lambda j: (-scores[j], j))
-    rest = sorted(set(range(n)) - set(best_g))
-    h = sorted(rest, key=lambda j: (-scores[j], j))
-    a = Assignment(tuple(g), tuple(h), None)
-    return _diagnostics(a, scores, 0, (best_abs,), "abs_S")
 
 
 def split(

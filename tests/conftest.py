@@ -1,6 +1,6 @@
-"""Shared fixtures: the published item-total table, the simulator's
-reference probabilities, the JSON writer's reference and the acceptance
-recorder."""
+"""Shared fixtures: the published item-total table, the exact split
+oracles, the simulator's reference probabilities, the JSON writer's
+reference and the acceptance recorder."""
 
 import math
 
@@ -40,6 +40,43 @@ def column_fill(totals, n_examinees: int) -> ScoreMatrix:
     for j, t in enumerate(totals):
         m[:t, j] = 1
     return ScoreMatrix(m)
+
+
+def _gap_below_half(reach: int, total: int) -> int:
+    """total - 2s for the largest s <= total/2 whose bit is set in ``reach``."""
+    return total - 2 * ((reach & ((2 << (total // 2)) - 1)).bit_length() - 1)
+
+
+def balanced_optimum(values) -> int:
+    """Exact min |sum(g) - sum(h)| over splits of ``values`` into equal halves.
+
+    A cardinality-indexed bitset DP: bit s of ``reach[k]`` is set when k
+    of the values seen so far sum to s.  The complement of a half-size
+    subset is one too, so the best half sum lies at or below total/2.
+    """
+    values = [int(v) for v in values]
+    if len(values) % 2:
+        raise ValueError("a balanced split needs an even item count")
+    half = len(values) // 2
+    reach = [1] + [0] * half
+    for v in values:
+        for k in range(half, 0, -1):
+            reach[k] |= reach[k - 1] << v
+    return _gap_below_half(reach[half], sum(values))
+
+
+def same_row_optimum(diffs) -> int:
+    """Exact min |sum(+-d)| over all sign flips of the row differences ``diffs``.
+
+    A bitset DP over the magnitudes: bit s of ``reach`` is set when some
+    rows' |d| sum to s, and signing those rows against the rest gives
+    |sum(+-d)| = |sum(|d|) - 2s|.
+    """
+    magnitudes = [abs(int(d)) for d in diffs]
+    reach = 1
+    for d in magnitudes:
+        reach |= reach << d
+    return _gap_below_half(reach, sum(magnitudes))
 
 
 def json_safe(obj):

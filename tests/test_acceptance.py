@@ -18,7 +18,7 @@ method's own definitions:
   abilities drawn under the same seed, n Var(p) / (n Var(p) + E[p(1-p)]),
   which rises with n (0.99493 at seed 2026).
 * Criterion 5 checks the greedy same-row swap search against an
-  exhaustive oracle over every same-row flip of the seeded rows: the
+  exact oracle over every same-row flip of the seeded rows: the
   result keeps the seed rows, never undercuts that oracle and is a
   local optimum. The share of instances that also reach the global
   optimum is reported, not gated: the same-row search cannot reach more
@@ -28,7 +28,6 @@ Criterion 6 pins the refinement's cost by counting candidate
 evaluations, which is exact, and keeps one timed length-scaling band.
 """
 
-import itertools
 import time
 from fractions import Fraction
 
@@ -42,7 +41,6 @@ from splitrel import (
     ScoreMatrix,
     SubTestScores,
     WeightVector,
-    brute_force_split,
     classical_reliability,
     compare_estimators,
     descriptive_stats,
@@ -58,7 +56,14 @@ from splitrel import (
 )
 from splitrel.battery import BatteryInput, ComponentTest
 
-from conftest import TABLE2_N, TABLE2_TOTALS, column_fill, reference_probabilities
+from conftest import (
+    TABLE2_N,
+    TABLE2_TOTALS,
+    balanced_optimum,
+    column_fill,
+    reference_probabilities,
+    same_row_optimum,
+)
 
 D_EXAMPLE = np.array([[6.2405, 2.4571], [2.4571, 4.0571]])
 R_EXAMPLE = (0.6571, 0.3488)
@@ -219,16 +224,6 @@ def test_criterion_4_long_test_band(criterion):
     )
 
 
-def same_row_optimum(seed, tau):
-    """Smallest abs_S over all 2^rows flips of the seed's rows."""
-    scores = tau.as_ints()
-    diffs = [scores[g] - scores[h] for g, h in zip(seed.g_items, seed.h_items)]
-    return min(
-        abs(sum(s * d for s, d in zip(signs, diffs)))
-        for signs in itertools.product((1, -1), repeat=len(diffs))
-    )
-
-
 def test_criterion_5_oracle_equivalence(criterion):
     rng = np.random.default_rng(20260817)
     equal = 0
@@ -242,12 +237,15 @@ def test_criterion_5_oracle_equivalence(criterion):
         tau = ItemScores(rng.integers(0, 51, size=10))
         seed = seed_allocation(tau)
         heur = swap_refine(seed, tau)
-        best = brute_force_split(tau)
-        same_row = same_row_optimum(seed, tau)
-        gaps.append(heur.abs_S - best.abs_S)
-        equal += heur.abs_S == best.abs_S
-        ceiling += same_row == best.abs_S
-        below += heur.abs_S < best.abs_S
+        scores = tau.as_ints()
+        best = balanced_optimum(scores)
+        same_row = same_row_optimum(
+            scores[g] - scores[h] for g, h in zip(seed.g_items, seed.h_items)
+        )
+        gaps.append(heur.abs_S - best)
+        equal += heur.abs_S == best
+        ceiling += same_row == best
+        below += heur.abs_S < best
         got = heur.assignment
         same_shape = got.n_rows == seed.n_rows and got.dropped_item == seed.dropped_item
         off_rows += not same_shape or any(
@@ -281,7 +279,7 @@ def test_criterion_5_oracle_equivalence(criterion):
     criterion(5, f"median gap {median_gap:g} == 0", ok_median)
     assert ok_rows and ok_same_row and ok_local, (
         f"swap_refine left the documented search on {off_rows} instances, "
-        f"undercut the exhaustive same-row optimum on {below_same_row} and "
+        f"undercut the exact same-row optimum on {below_same_row} and "
         f"stopped with an improving row flip left on {not_local}. The greedy "
         "search only flips the seed's rows, so its result is bounded by the "
         f"same-row optimum, which equals the global one on {ceiling} of 100 "

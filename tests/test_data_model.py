@@ -19,7 +19,6 @@ from splitrel import (
     item_totals,
     load_score_matrix,
     mean_from_norms,
-    variance_from_norms,
     write_score_matrix,
 )
 
@@ -113,7 +112,10 @@ def test_descriptive_stats_against_hand_values():
     assert st.N == 4 and st.n == 3
     # geometry route: mean = ||X|| cos(theta) / sqrt(N)
     assert mean_from_norms(st.norm_X, st.cos_theta_X, st.N) == pytest.approx(1.5)
-    assert variance_from_norms(st.norm_X, st.cos_theta_X, st.N) == pytest.approx(1.25)
+    # and variance = ||X||^2 sin^2(theta) / N
+    sin_sq = 1.0 - st.cos_theta_X**2
+    assert st.norm_X**2 * sin_sq / st.N == pytest.approx(st.variance)
+    assert st.variance == pytest.approx(1.25)
 
 
 def test_descriptive_stats_near_ceiling_long_test():

@@ -28,7 +28,6 @@ from splitrel import (
     ZeroVariance,
     classical_reliability,
     descriptive_stats,
-    error_variance,
     f_test_equal_variance,
     seed_allocation,
     split,
@@ -125,7 +124,7 @@ def test_half_scores_do_not_depend_on_the_blas_thread_count():
 def test_error_variance_is_exact_mean_squared_gap():
     s = SubTestScores(g=[3, 1, 4], h=[2, 2, 0])
     # (1 + 1 + 16) / 3
-    assert error_variance(s) == pytest.approx(6.0)
+    assert classical_reliability(s, stats_for(s, 8)).error_variance == pytest.approx(6.0)
 
 
 def test_error_variance_matches_norm_identity():
@@ -138,7 +137,8 @@ def test_error_variance_matches_norm_identity():
         norms = (
             float(g @ g) + float(h @ h) - 2.0 * float(g @ h)
         ) / 50.0
-        assert error_variance(s) == pytest.approx(direct, rel=1e-12)
+        report = classical_reliability(s, stats_for(s, 60))
+        assert report.error_variance == pytest.approx(direct, rel=1e-12)
         assert direct == pytest.approx(norms, rel=1e-12)
 
 

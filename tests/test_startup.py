@@ -70,3 +70,21 @@ def test_the_blas_idle_wait_leaves_the_report_bytes_unchanged(tmp_path):
         subprocess.run(cmd, env=env, check=True)
         reports.append(out.read_bytes())
     assert reports[0] == reports[1]
+
+
+def test_importlib_resources_waits_for_the_schema(tmp_path):
+    # -S skips the site hook, which on some hosts imports the module itself
+    code = (
+        "import sys\n"
+        "from splitrel.cli import load_schema, main\n"
+        "assert main(sys.argv[1:]) == 0\n"
+        "print('importlib.resources' in sys.modules)\n"
+        "print(load_schema()['title'])\n"
+    )
+    out = subprocess.run(
+        [sys.executable, "-S", "-c", code, "simulate", "--model", "D1", "--N", "30",
+         "--n", "6", "--seed", "2", "--output", str(tmp_path / "s.csv")],
+        env=ENV, capture_output=True, text=True,
+    )
+    assert out.returncode == 0, out.stderr
+    assert out.stdout == "False\nsplitrel report envelope\n"
