@@ -46,6 +46,7 @@ from .data_model import (
     TestStats,
     descriptive_stats,
     load_score_matrix,
+    rewrite,
     write_score_matrix,
 )
 from .errors import Degenerate, TooSmall, ToolkitError
@@ -131,25 +132,27 @@ class _UsageError(ToolkitError):
 
 
 class Analysis(NamedTuple):
-    """One split matrix carried through half scores, stats and the report."""
+    """One split matrix carried through half scores, totals, stats and the report."""
 
     split: SplitResult
     scores: SubTestScores
+    x: ExamineeScores
     stats: TestStats
     report: ReliabilityReport
 
 
 def analyze(m: ScoreMatrix, result: SplitResult) -> Analysis:
-    """Half scores, reduced-test stats and the classical report of a split of ``m``.
+    """Half scores, reduced-test totals and stats, and the classical report
+    of a split of ``m``.
 
-    The stats describe the reduced test: a dropped odd item is in
-    neither half, so it does not count towards n.
+    ``x`` and the stats describe the reduced test: a dropped odd item is
+    in neither half, so it does not count towards n.
     """
     _bind("reliability")
     scores = sub_test_scores(m, result.assignment)
-    reduced_n = m.n_items - (result.assignment.dropped_item is not None)
-    stats = descriptive_stats(ExamineeScores(scores.combined()), reduced_n)
-    return Analysis(result, scores, stats, classical_reliability(scores, stats))
+    x = ExamineeScores(scores.combined())
+    stats = descriptive_stats(x, 2 * result.assignment.n_rows)
+    return Analysis(result, scores, x, stats, classical_reliability(scores, stats))
 
 
 def scaling_suite(
@@ -220,8 +223,7 @@ def _emit(pieces: Iterable[str], output: str | None) -> None:
     if output is None:
         sys.stdout.writelines(pieces)
     else:
-        with open(output, "w", encoding="utf-8", newline="") as fh:
-            fh.writelines(pieces)
+        rewrite(output, pieces, "w", encoding="utf-8", newline="")
 
 
 def _emit_csv(rows: list[dict], output: str | None) -> None:
@@ -374,13 +376,13 @@ def _histogram(values: np.ndarray, capacity: int, width: int) -> list[int]:
 def _cmd_split(args: argparse.Namespace) -> None:
     _, result = _load_and_split(args.input, args)
     if args.fmt == "csv":
-        _emit_csv(result.to_dict()["rows"], args.output)
+        _emit_csv(result.to_dict()["rows"].tolist(), args.output)
         return
     _dump(_envelope(args, result.to_dict()), args.output)
 
 
 def _cmd_reliability(args: argparse.Namespace) -> None:
-    result, scores, stats, report = analyze(*_load_and_split(args.input, args))
+    result, scores, x, stats, report = analyze(*_load_and_split(args.input, args))
     n_pair = result.assignment.n_rows
     stats_g = descriptive_stats(ExamineeScores(scores.g), n_pair)
     stats_h = descriptive_stats(ExamineeScores(scores.h), n_pair)
@@ -403,7 +405,7 @@ def _cmd_reliability(args: argparse.Namespace) -> None:
         "true_score_geometry": geometry,
         "histograms": {
             "bin_width": args.bin_width,
-            "full": _histogram(scores.combined(), stats.n, args.bin_width),
+            "full": _histogram(x.totals, stats.n, args.bin_width),
             "g": _histogram(scores.g, n_pair, args.bin_width),
             "h": _histogram(scores.h, n_pair, args.bin_width),
         },
@@ -417,7 +419,7 @@ def _cmd_truescore(args: argparse.Namespace) -> None:
         # the CSV table has no place for the rank, so it would be dropped
         raise _UsageError("argument --percentile-of: not allowed with --format csv")
     _bind("truescore")
-    _, scores, stats, report = analyze(*_load_and_split(args.input, args))
+    _, _, x, stats, report = analyze(*_load_and_split(args.input, args))
     r = report.r_tt if args.reliability_kind == "classical" else report.r_gh
     if not 0.0 <= r <= 1.0:
         # a negative or undefined reliability is degenerate data, not bad input
@@ -425,7 +427,6 @@ def _cmd_truescore(args: argparse.Namespace) -> None:
             f"{args.reliability_kind} reliability is {r!r}, outside [0, 1], "
             "so true scores are undefined"
         )
-    x = ExamineeScores(scores.combined())
     table = estimate_true_scores(x, stats, r, args.reliability_kind)
     if args.fmt == "csv":
         _emit([table.to_csv()], args.output)
@@ -463,15 +464,8 @@ def _cmd_battery(args: argparse.Namespace) -> None:
     tests = []
     details = []
     for path in args.inputs:
-        result, scores, stats, report = analyze(*_load_and_split(path, args))
-        tests.append(
-            ComponentTest(
-                scores=ExamineeScores(scores.combined()),
-                S_X_sq=stats.variance,
-                r_tt=report.r_tt,
-                name=path,
-            )
-        )
+        result, _, x, stats, report = analyze(*_load_and_split(path, args))
+        tests.append(ComponentTest(scores=x, S_X_sq=stats.variance, r_tt=report.r_tt, name=path))
         details.append(
             {
                 "name": path,

@@ -19,9 +19,11 @@ are 0-based positions into the item-totals vector throughout.
 from __future__ import annotations
 
 import operator
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
-from .data_model import ItemScores, ScoreMatrix, item_totals
+import numpy as np
+
+from .data_model import ItemScores, RowBlock, ScoreMatrix, item_totals
 from .errors import DomainViolation, RangeError, ShapeError, TooSmall
 
 __all__ = [
@@ -73,6 +75,10 @@ class Assignment:
 class SplitResult:
     """Final state of a refinement run, with enough detail to audit it.
 
+    ``g_scores[k]`` and ``h_scores[k]`` are the item totals of row ``k``'s
+    two items.  The sums and differences of the halves follow from them
+    and are computed once, on construction.
+
     ``history`` records the criterion value at the seed and after each
     applied iteration: ``abs_S`` values under the default criterion,
     ``|S| * |S_sq|`` values under the product criterion.  It is strictly
@@ -83,48 +89,50 @@ class SplitResult:
     assignment: Assignment
     g_scores: tuple[int, ...]
     h_scores: tuple[int, ...]
-    S: int
-    abs_S: int
-    S_sq: int
-    sum_g: int
-    sum_h: int
+    S: int = field(init=False)
+    abs_S: int = field(init=False)
+    S_sq: int = field(init=False)
+    sum_g: int = field(init=False)
+    sum_h: int = field(init=False)
     iterations: int
     history: tuple[int, ...]
     criterion: str = "abs_S"
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "g_scores", tuple(int(v) for v in self.g_scores))
-        object.__setattr__(self, "h_scores", tuple(int(v) for v in self.h_scores))
-        object.__setattr__(self, "history", tuple(int(v) for v in self.history))
-        if len(self.g_scores) != self.assignment.n_rows or len(
-            self.h_scores
-        ) != self.assignment.n_rows:
+        g = tuple(int(v) for v in self.g_scores)
+        h = tuple(int(v) for v in self.h_scores)
+        if len(g) != self.assignment.n_rows or len(h) != self.assignment.n_rows:
             raise ShapeError("scores must align with the assignment rows")
-        if self.abs_S != abs(self.S) or self.S != self.sum_g - self.sum_h:
-            raise DomainViolation("inconsistent split diagnostics")
+        sum_g, sum_h = sum(g), sum(h)
+        values = {
+            "g_scores": g,
+            "h_scores": h,
+            "S": sum_g - sum_h,
+            "abs_S": abs(sum_g - sum_h),
+            "S_sq": sum(v * v for v in g) - sum(v * v for v in h),
+            "sum_g": sum_g,
+            "sum_h": sum_h,
+            "history": tuple(int(v) for v in self.history),
+        }
+        for name, value in values.items():
+            object.__setattr__(self, name, value)
 
     def to_dict(self) -> dict:
-        """JSON-ready view: item lists, per-row score triples, sums, history."""
-        rows = [
-            {
-                "g_item": gi,
-                "g_score": gs,
-                "h_item": hi,
-                "h_score": hs,
-                "difference": gs - hs,
-            }
-            for gi, gs, hi, hs in zip(
-                self.assignment.g_items,
-                self.g_scores,
-                self.assignment.h_items,
-                self.h_scores,
-            )
+        """JSON-ready view: item lists, the rows as a ``RowBlock``, sums, history."""
+        a = self.assignment
+        columns = [
+            np.array(values, dtype=np.int64)
+            for values in (a.g_items, self.g_scores, a.h_items, self.h_scores)
         ]
+        columns.append(columns[1] - columns[3])
+        rows = RowBlock(
+            ("g_item", "g_score", "h_item", "h_score", "difference"), tuple(columns)
+        )
         return {
             "criterion": self.criterion,
-            "g_items": list(self.assignment.g_items),
-            "h_items": list(self.assignment.h_items),
-            "dropped_item": self.assignment.dropped_item,
+            "g_items": list(a.g_items),
+            "h_items": list(a.h_items),
+            "dropped_item": a.dropped_item,
             "rows": rows,
             "sum_g": self.sum_g,
             "sum_h": self.sum_h,
@@ -134,33 +142,6 @@ class SplitResult:
             "iterations": self.iterations,
             "history": list(self.history),
         }
-
-
-def _diagnostics(
-    a: Assignment,
-    scores: list[int],
-    iterations: int,
-    history: tuple[int, ...],
-    criterion: str,
-) -> SplitResult:
-    g = tuple(scores[j] for j in a.g_items)
-    h = tuple(scores[j] for j in a.h_items)
-    sum_g = sum(g)
-    sum_h = sum(h)
-    s_sq = sum(v * v for v in g) - sum(v * v for v in h)
-    return SplitResult(
-        assignment=a,
-        g_scores=g,
-        h_scores=h,
-        S=sum_g - sum_h,
-        abs_S=abs(sum_g - sum_h),
-        S_sq=s_sq,
-        sum_g=sum_g,
-        sum_h=sum_h,
-        iterations=iterations,
-        history=history,
-        criterion=criterion,
-    )
 
 
 def _check_cover(a: Assignment, n: int) -> None:
@@ -285,7 +266,9 @@ def swap_refine(
         history.append(abs(s))
 
     final = Assignment(tuple(g), tuple(h), a.dropped_item)
-    return _diagnostics(final, scores, iterations, tuple(history), "abs_S")
+    g_scores = [scores[j] for j in g]
+    h_scores = [scores[j] for j in h]
+    return SplitResult(final, g_scores, h_scores, iterations, history, "abs_S")
 
 
 def product_refine(
@@ -343,7 +326,7 @@ def product_refine(
         history.append(prod)
 
     final = Assignment(tuple(g), tuple(h), a.dropped_item)
-    return _diagnostics(final, scores, iterations, tuple(history), "product")
+    return SplitResult(final, gs, hs, iterations, history, "product")
 
 
 def split(

@@ -5,6 +5,9 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from splitrel import (
     Assignment,
@@ -244,10 +247,45 @@ def test_split_criterion_dispatch(table2_matrix):
 def test_split_result_to_dict_rows(table2_matrix):
     d = split(table2_matrix).to_dict()
     assert d["sum_g"] == d["sum_h"] == 5011
-    assert len(d["rows"]) == 25
-    row = d["rows"][0]
-    assert set(row) == {"g_item", "g_score", "h_item", "h_score", "difference"}
-    assert sum(r["difference"] for r in d["rows"]) == d["S"]
+    rows = d["rows"].tolist()
+    assert len(rows) == 25
+    assert set(rows[0]) == {"g_item", "g_score", "h_item", "h_score", "difference"}
+    assert sum(r["difference"] for r in rows) == d["S"]
+
+
+def reference_rows(res):
+    """The row dicts of ``res``, built one by one as ``to_dict`` once did."""
+    a = res.assignment
+    return [
+        {"g_item": gi, "g_score": gs, "h_item": hi, "h_score": hs, "difference": gs - hs}
+        for gi, gs, hi, hs in zip(a.g_items, res.g_scores, a.h_items, res.h_scores)
+    ]
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    entries=arrays(
+        np.int8, st.tuples(st.integers(2, 8), st.integers(2, 13)), elements=st.integers(0, 1)
+    ),
+    criterion=st.sampled_from(["abs_S", "product"]),
+    policy=st.sampled_from(["single", "all"]),
+)
+def test_split_sums_and_rows_follow_from_the_assignment(entries, criterion, policy):
+    m = ScoreMatrix(entries)
+    res = split(m, criterion, policy=policy)
+    tau = item_totals(m).as_ints()
+    g = [tau[j] for j in res.assignment.g_items]
+    h = [tau[j] for j in res.assignment.h_items]
+    assert (res.g_scores, res.h_scores) == (tuple(g), tuple(h))
+    assert (res.sum_g, res.sum_h) == (sum(g), sum(h))
+    assert res.S == sum(g) - sum(h)
+    assert res.abs_S == abs(sum(g) - sum(h))
+    assert res.S_sq == sum(v * v for v in g) - sum(v * v for v in h)
+    d = res.to_dict()
+    assert d["rows"].tolist() == reference_rows(res)
+    assert [d[k] for k in ("sum_g", "sum_h", "S", "abs_S", "S_sq")] == [
+        res.sum_g, res.sum_h, res.S, res.abs_S, res.S_sq
+    ]
 
 
 def test_mean_difference_identity_exact_on_random_splits():
