@@ -46,7 +46,6 @@ from .data_model import (
     TestStats,
     descriptive_stats,
     load_score_matrix,
-    rewrite,
     write_score_matrix,
 )
 from .errors import Degenerate, TooSmall, ToolkitError
@@ -223,7 +222,8 @@ def _emit(pieces: Iterable[str], output: str | None) -> None:
     if output is None:
         sys.stdout.writelines(pieces)
     else:
-        rewrite(output, pieces, "w", encoding="utf-8", newline="")
+        with open(output, "w", encoding="utf-8", newline="") as fh:
+            fh.writelines(pieces)
 
 
 def _emit_csv(rows: list[dict], output: str | None) -> None:

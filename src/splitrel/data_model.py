@@ -111,11 +111,9 @@ class ScoreMatrix:
             raise DomainViolation(
                 f"non-binary value {entries[i, j]!r} at row {i + 1}, column {j + 1}"
             )
-        if entries.dtype != np.int8 or entries.flags.writeable or not entries.flags.owndata:
-            # a caller's array may change later: keep a read-only copy
-            entries = entries.astype(np.int8)
-            entries.setflags(write=False)
-        object.__setattr__(self, "entries", entries)
+        frozen = entries.astype(np.int8, copy=True)
+        frozen.setflags(write=False)
+        object.__setattr__(self, "entries", frozen)
         if self.item_ids is not None:
             ids = tuple(str(v) for v in self.item_ids)
             if len(ids) != n_items:
@@ -254,7 +252,6 @@ def _parse_pairs(
         if diff.max() > 1:
             return None
         cells[start : start + len(rows)] = diff
-    cells.setflags(write=False)
     return cells
 
 
@@ -352,9 +349,7 @@ def _load_with_csv(data: bytes | str, has_header: bool) -> ScoreMatrix:
         )
     if item_ids is not None and len(item_ids) != width:
         raise ShapeError(f"header has {len(item_ids)} labels for {width} columns")
-    entries = np.array(rows, dtype=np.int8)
-    entries.setflags(write=False)
-    return ScoreMatrix(entries=entries, item_ids=item_ids)
+    return ScoreMatrix(entries=np.array(rows, dtype=np.int8), item_ids=item_ids)
 
 
 def load_score_matrix(source, *, has_header: bool = False) -> ScoreMatrix:
@@ -397,27 +392,10 @@ def write_score_matrix(m: ScoreMatrix, dest) -> None:
     body[:, 1::2] = ord(",")
     body[:, -1] = ord("\n")
     if isinstance(dest, (str, os.PathLike)):
-        rewrite(dest, [body], "wb")
+        with open(dest, "wb") as fh:
+            fh.write(body)
     else:
         dest.write(body.tobytes().decode("ascii"))
-
-
-def _open_untruncated(path, flags: int) -> int:
-    return os.open(path, flags & ~os.O_TRUNC, 0o666)
-
-
-def rewrite(dest, pieces, mode: str, **kwargs) -> None:
-    """Write ``pieces`` to ``dest`` as ``open(dest, mode, **kwargs)`` would,
-    but over the file from its start, and cut it to the new length after:
-    truncating a file whose last contents are still in the page cache can
-    make the kernel flush them first (ext4 does), which a rerun to the
-    same output would wait on.  A FIFO or a terminal is not cut."""
-    with open(dest, mode, opener=_open_untruncated, **kwargs) as fh:
-        try:
-            fh.writelines(pieces)
-        finally:
-            if stat.S_ISREG(os.fstat(fh.fileno()).st_mode):
-                fh.truncate()
 
 
 def item_totals(m: ScoreMatrix) -> ItemScores:

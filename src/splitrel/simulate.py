@@ -91,5 +91,4 @@ def generate(model: SimModel) -> ScoreMatrix:
     for start in range(0, model.N, step):
         rows = slice(start, start + step)
         entries[rows] = rng.random(shaped[rows].shape) < shaped[rows]
-    entries.setflags(write=False)
     return ScoreMatrix(entries)

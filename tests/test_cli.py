@@ -8,7 +8,6 @@ import json
 import os
 import subprocess
 import sys
-import threading
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
@@ -369,34 +368,6 @@ def test_missing_input_exits_one(tmp_path):
     code, _, err = run_cli("split", "--input", str(tmp_path / "absent.csv"))
     assert code == 1
     assert "error" in err
-
-
-def test_output_rewrites_a_longer_file_in_place(matrix_csv, tmp_path):
-    # the report is written from the file's start and the old tail cut
-    # off; a hard link shows the file itself was rewritten, not replaced
-    _, report, _ = run_cli("split", "--input", matrix_csv)
-    out = tmp_path / "report.json"
-    out.write_bytes(b"x" * (2 * len(report)))
-    link = tmp_path / "link.json"
-    os.link(out, link)
-    assert run_cli("split", "--input", matrix_csv, "--output", str(out))[0] == 0
-    assert out.read_bytes() == report.encode("utf-8")
-    assert link.read_bytes() == out.read_bytes()
-
-
-@pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs named pipes")
-def test_output_to_a_fifo(matrix_csv, tmp_path):
-    # a FIFO cannot be truncated, so the report is only written to it
-    _, report, _ = run_cli("split", "--input", matrix_csv)
-    fifo = tmp_path / "report.fifo"
-    os.mkfifo(fifo)
-    got = []
-    reader = threading.Thread(target=lambda: got.append(fifo.read_bytes()), daemon=True)
-    reader.start()
-    code, _, err = run_cli("split", "--input", matrix_csv, "--output", str(fifo))
-    reader.join(timeout=10)
-    assert code == 0, err
-    assert got == [report.encode("utf-8")]
 
 
 CLI_ENV = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}

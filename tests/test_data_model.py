@@ -2,7 +2,6 @@
 
 import dataclasses
 import io
-import os
 
 import numpy as np
 import pytest
@@ -40,20 +39,19 @@ def test_matrix_is_frozen():
         m.entries[0, 0] = 0
 
 
-def test_matrix_copies_a_callers_writable_array():
+def test_matrix_copies_a_callers_array():
     entries = np.array(MAT, dtype=np.int8)
     m = ScoreMatrix(entries)
     entries[0, 0] = 0
     assert m.entries[0, 0] == 1
     assert not m.entries.flags.writeable
-
-
-def test_matrix_keeps_a_read_only_int8_array_that_owns_its_data():
+    # a read-only array can still change through a view taken before
     entries = np.array(MAT, dtype=np.int8)
+    view = entries.view()
     entries.setflags(write=False)
-    assert ScoreMatrix(entries).entries is entries
-    view = entries[:, :2]
-    assert ScoreMatrix(view).entries is not view
+    m = ScoreMatrix(entries)
+    view[0, 0] = 7
+    assert m.entries[0, 0] == 1
 
 
 def test_matrix_rejects_non_binary_with_cell_location():
@@ -104,17 +102,6 @@ def test_csv_round_trip(tmp_path):
     back = load_score_matrix(path)
     assert np.array_equal(back.entries, m.entries)
     assert back.item_ids is None
-
-
-def test_csv_write_rewrites_a_longer_file_in_place(tmp_path):
-    # written from the start and cut after; a hard link sees the same file
-    path = tmp_path / "scores.csv"
-    path.write_bytes(b"1,1,1,1,1,1,1,1\n" * 50)
-    link = tmp_path / "link.csv"
-    os.link(path, link)
-    write_score_matrix(ScoreMatrix(MAT), path)
-    assert path.read_bytes() == b"1,0,1\n0,0,1\n1,1,1\n0,0,0\n"
-    assert link.read_bytes() == path.read_bytes()
 
 
 def test_csv_load_reports_bad_cell_position():
