@@ -25,6 +25,7 @@ import math
 import os
 import stat
 import sys
+import threading
 import time
 from importlib import import_module
 from itertools import chain
@@ -204,15 +205,48 @@ def _sha256(path: str) -> str:
     return digest.hexdigest()
 
 
+class _InputDigests(threading.Thread):
+    """The sha256 of each input path, hashed once per distinct path.
+
+    This daemon thread hashes the regular files while the command parses
+    them (hashlib releases the GIL); a pipe's or FIFO's one reader adds
+    the digest of the bytes it read.  ``by_path`` raises what the thread
+    raised, and hashes a path that became a regular file meanwhile.
+    """
+
+    def __init__(self, paths: list[str]) -> None:
+        super().__init__(daemon=True)
+        self.paths = list(dict.fromkeys(paths))
+        self.digests: dict[str, str] = {}
+        self.error: Exception | None = None
+        self.start()
+
+    def run(self) -> None:
+        try:
+            for path in self.paths:
+                if stat.S_ISREG(os.stat(path).st_mode):
+                    self.digests[path] = _sha256(path)
+        except Exception as exc:
+            self.error = exc
+
+    def add(self, path: str, data: bytes) -> None:
+        self.digests[path] = hashlib.sha256(data).hexdigest()
+
+    def by_path(self) -> dict[str, str]:
+        self.join()
+        if self.error is not None:
+            raise self.error
+        return {path: self.digests.get(path) or _sha256(path) for path in self.paths}
+
+
 def _envelope(args: argparse.Namespace, report: dict) -> dict:
     options = vars(args)
-    paths = options.get("inputs", [options["input"]] if "input" in options else [])
     return {
         "tool": "splitrel",
         "version": __version__,
         "command": args.command,
         "parameters": {k: v for k, v in options.items() if k not in _NOT_PARAMETERS},
-        "inputs": {path: args.digests.get(path) or _sha256(path) for path in paths},
+        "inputs": args.digests.by_path(),
         "report": report,
     }
 
@@ -359,7 +393,7 @@ def _load_and_split(path: str, args: argparse.Namespace) -> tuple[ScoreMatrix, S
         # a pipe or FIFO gives its bytes once: digest the bytes parsed
         with open(path, "rb") as fh:
             source = fh.read()
-        args.digests[path] = hashlib.sha256(source).hexdigest()
+        args.digests.add(path, source)
     m = load_score_matrix(source, has_header=args.has_header)
     return m, split(m, args.criterion, max_iter=args.max_iter, policy=args.policy)
 
@@ -614,11 +648,16 @@ def _build_parser() -> _Parser:
 
 
 def main(argv: list[str] | None = None) -> int:
+    """Run one command and return its exit code; library callers use this."""
     parser = _build_parser()
+    digests = None
     try:
         args = parser.parse_args(argv)
-        args.digests = {}  # sha256 of each input read once, by path
+        options = vars(args)
+        paths = options.get("inputs", [options["input"]] if "input" in options else [])
+        args.digests = digests = _InputDigests(paths)
         args.handler(args)
+        sys.stdout.flush()
         return 0
     except ToolkitError as exc:
         print(f"error[{type(exc).__name__}]: {exc}", file=sys.stderr)
@@ -629,7 +668,18 @@ def main(argv: list[str] | None = None) -> int:
     except MemoryError as exc:
         print(f"error[MemoryError]: {str(exc) or 'not enough memory'}", file=sys.stderr)
         return 1
+    finally:
+        if digests is not None:
+            digests.join()
+
+
+def run() -> None:
+    """The process entry point: ``main``, then ``os._exit`` without the
+    interpreter's teardown; ``main`` has flushed and closed every output."""
+    code = main()
+    sys.stderr.flush()
+    os._exit(code)
 
 
 if __name__ == "__main__":
-    sys.exit(main())
+    run()

@@ -3,11 +3,23 @@ oracles, the simulator's reference probabilities, the JSON writer's
 reference and the acceptance recorder."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
 
 from splitrel import ItemScores, ScoreMatrix
+
+# hypothesis imports libcst to print the patch for a failing example, and
+# libcst's import of mypy_extensions warns DeprecationWarning, which the
+# session's warning filters would turn into an internal error that ends
+# the run; imported here once, a failing property test is just a failure
+with warnings.catch_warnings():
+    warnings.simplefilter("ignore", DeprecationWarning)
+    try:
+        import libcst  # noqa: F401
+    except ImportError:
+        pass
 
 # 50 published item totals from a 912-examinee administration; both
 # balanced halves of this table sum to 5011 (grand total 10022).

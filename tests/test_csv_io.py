@@ -145,7 +145,10 @@ def test_loader_agrees_with_csv_reference(case, score_path):
     got = outcome(load_score_matrix, source, has_header=has_header)
     want = outcome(reference_load, content, has_header=has_header)
     assert got == want
-    # the CLI passes a path, which a non-empty file reaches as a memory map
+    # the CLI passes a path, which a non-empty file reaches as a memory map;
+    # a fresh file each time, since truncating the last example's makes the
+    # file system write its pages out first
+    score_path.unlink(missing_ok=True)
     score_path.write_bytes(data)
     assert outcome(load_score_matrix, score_path, has_header=has_header) == want
 
