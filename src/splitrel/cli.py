@@ -1,11 +1,11 @@
 """Command-line front end for the split-half reliability toolkit.
 
-Six subcommands: ``split``, ``reliability``, ``truescore``, ``battery``,
-``simulate``, ``scale``.  Reports are JSON (optionally CSV tables where
-a table is the natural shape) wrapped in a provenance envelope carrying
-the tool version, the sha256 digest of every input file, and the
-effective parameters.  Nothing time-dependent goes into a report, so a
-rerun on the same inputs writes byte-identical output.
+Five subcommands: ``split``, ``reliability``, ``truescore``, ``battery``
+and ``simulate``.  Reports are JSON (optionally CSV tables where a table
+is the natural shape) wrapped in a provenance envelope carrying the tool
+version, the sha256 digest of every input file, and the effective
+parameters.  Nothing time-dependent goes into a report, so a rerun on
+the same inputs writes byte-identical output.
 
 A command loads the toolkit modules it runs the first time it runs them,
 so ``simulate`` never loads the splitter and ``reliability`` never loads
@@ -26,7 +26,6 @@ import os
 import stat
 import sys
 import threading
-import time
 from importlib import import_module
 from itertools import chain
 from typing import TYPE_CHECKING, Iterable, Iterator, NamedTuple
@@ -49,7 +48,7 @@ from .data_model import (
     load_score_matrix,
     write_score_matrix,
 )
-from .errors import Degenerate, TooSmall, ToolkitError
+from .errors import Degenerate, ToolkitError
 
 if TYPE_CHECKING:
     # bound at run time by ``_bind``, when a command first needs them
@@ -74,7 +73,7 @@ if TYPE_CHECKING:
     from .splitter import SplitResult, split
     from .truescore import compare_estimators, estimate_true_scores, percentile_rank
 
-__all__ = ["Analysis", "analyze", "scaling_suite", "main", "load_schema"]
+__all__ = ["Analysis", "analyze", "main", "load_schema"]
 
 _WEIGHT_METHODS = ("optimal", "nonneg", "eigen-cov", "eigen-corr", "equal")
 
@@ -126,6 +125,14 @@ class _Parser(argparse.ArgumentParser):
         self.print_usage(sys.stderr)
         raise _UsageError(message)
 
+    # argparse drops a failed write of --help or --version and exits 0;
+    # write and flush here, so that ``main`` reports it as any OSError
+    def _print_message(self, message, file=None):
+        if message:
+            file = file or sys.stderr
+            file.write(message)
+            file.flush()
+
 
 class _UsageError(ToolkitError):
     exit_code = 1
@@ -153,48 +160,6 @@ def analyze(m: ScoreMatrix, result: SplitResult) -> Analysis:
     x = ExamineeScores(scores.combined())
     stats = descriptive_stats(x, 2 * result.assignment.n_rows)
     return Analysis(result, scores, x, stats, classical_reliability(scores, stats))
-
-
-def scaling_suite(
-    sizes: list[tuple[int, int]],
-    model_kind: str,
-    seed: int,
-) -> list[dict]:
-    """Generate, split and score a matrix at each size; tabulate timings.
-
-    Per-size seeds are derived from the master seed through a seed
-    sequence, so adding or reordering sizes changes nothing about what
-    any given position produces.  Each row reports the size, the derived
-    seed, the split wall-clock, the total wall-clock, the achieved
-    abs_S, and the classical reliability.
-    """
-    if not sizes:
-        raise TooSmall("scaling suite needs at least one (N, n) size")
-    _bind("simulate", "splitter")
-    child_seeds = np.random.SeedSequence(seed).generate_state(len(sizes), dtype=np.uint64)
-    rows = []
-    for (n_examinees, n_items), child in zip(sizes, child_seeds):
-        model = SimModel(kind=model_kind, N=n_examinees, n=n_items, seed=int(child))
-        started = time.perf_counter()
-        m = generate(model)
-        split_started = time.perf_counter()
-        result = split(m)
-        split_seconds = time.perf_counter() - split_started
-        analysis = analyze(m, result)
-        total_seconds = time.perf_counter() - started
-        rows.append(
-            {
-                "N": n_examinees,
-                "n": n_items,
-                "seed": int(child),
-                "split_seconds": split_seconds,
-                "total_seconds": total_seconds,
-                "abs_S": result.abs_S,
-                "iterations": result.iterations,
-                "r_tt": analysis.report.r_tt,
-            }
-        )
-    return rows
 
 
 def _sha256(path: str) -> str:
@@ -258,14 +223,6 @@ def _emit(pieces: Iterable[str], output: str | None) -> None:
     else:
         with open(output, "w", encoding="utf-8", newline="") as fh:
             fh.writelines(pieces)
-
-
-def _emit_csv(rows: list[dict], output: str | None) -> None:
-    """Write ``rows`` as CSV under a header of the first row's keys."""
-    columns = list(rows[0])
-    lines = [",".join(columns)]
-    lines += [",".join(str(row[c]) for c in columns) for row in rows]
-    _emit(["\n".join(lines), "\n"], output)
 
 
 def _json_values(values: list) -> list[str]:
@@ -410,7 +367,10 @@ def _histogram(values: np.ndarray, capacity: int, width: int) -> list[int]:
 def _cmd_split(args: argparse.Namespace) -> None:
     _, result = _load_and_split(args.input, args)
     if args.fmt == "csv":
-        _emit_csv(result.to_dict()["rows"].tolist(), args.output)
+        rows = result.to_dict()["rows"]
+        lines = [",".join(rows.fields)]
+        lines += [",".join(map(str, row)) for row in zip(*(c.tolist() for c in rows.columns))]
+        _emit(["\n".join(lines), "\n"], args.output)
         return
     _dump(_envelope(args, result.to_dict()), args.output)
 
@@ -531,25 +491,6 @@ def _cmd_simulate(args: argparse.Namespace) -> None:
     _dump(_envelope(args, meta), args.output + ".meta.json")
 
 
-def _cmd_scale(args: argparse.Namespace) -> None:
-    rows = scaling_suite(args.sizes, args.model, args.seed)
-    if args.fmt == "csv":
-        _emit_csv(rows, args.output)
-        return
-    _dump(_envelope(args, {"rows": rows}), args.output)
-
-
-def _size_pair(text: str) -> tuple[int, int]:
-    try:
-        left, right = text.split(",")
-        pair = (int(left), int(right))
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"expected N,n (e.g. 999,50), got {text!r}") from None
-    if pair[0] < 2 or pair[1] < 2:
-        raise argparse.ArgumentTypeError(f"need N >= 2 and n >= 2, got {text!r}")
-    return pair
-
-
 def _seed(text: str) -> int:
     seed = int(text)
     if not 0 <= seed < 2**64:
@@ -637,13 +578,6 @@ def _build_parser() -> _Parser:
     p.add_argument("--seed", type=_seed, required=True)
     p.add_argument("--output", required=True, help="matrix CSV path; metadata sidecar gets .meta.json")
 
-    p = sub.add_parser("scale", help="timing and reliability across matrix sizes")
-    p.set_defaults(handler=_cmd_scale)
-    p.add_argument("--model", choices=("D1", "D2", "D3", "D4"), required=True)
-    p.add_argument("--sizes", required=True, nargs="+", type=_size_pair, metavar="N,n")
-    p.add_argument("--seed", type=_seed, required=True)
-    common(p, formats=("json", "csv"))
-
     return parser
 
 
@@ -676,7 +610,11 @@ def main(argv: list[str] | None = None) -> int:
 def run() -> None:
     """The process entry point: ``main``, then ``os._exit`` without the
     interpreter's teardown; ``main`` has flushed and closed every output."""
-    code = main()
+    try:
+        code = main()
+    except SystemExit as exc:
+        # --help and --version, written and flushed, end in argparse's exit
+        code = exc.code
     sys.stderr.flush()
     os._exit(code)
 

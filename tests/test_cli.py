@@ -1,5 +1,6 @@
 """CLI end-to-end: envelopes, schema conformance, exit codes, file outputs."""
 
+import argparse
 import csv
 import hashlib
 import inspect
@@ -16,7 +17,7 @@ import numpy as np
 import pytest
 
 import splitrel
-from splitrel import ScoreMatrix, data_model, write_score_matrix
+from splitrel import ScoreMatrix, cli, data_model, write_score_matrix
 from splitrel.cli import load_schema, main
 
 from conftest import TABLE2_TOTALS, TABLE2_N, column_fill
@@ -239,22 +240,6 @@ def test_simulate_round_trips_through_reliability(schema, tmp_path):
     assert doc["report"]["reliability"]["r_tt"] > 0.5
 
 
-def test_scale_reports_each_size(schema):
-    doc = run_json(
-        schema, "scale", "--model", "D3", "--sizes", "50,10", "100,10",
-        "--seed", "3",
-    )
-    rows = doc["report"]["rows"]
-    assert [r["N"] for r in rows] == [50, 100]
-    code, out, _ = run_cli(
-        "scale", "--model", "D3", "--sizes", "50,10", "--seed", "3",
-        "--format", "csv",
-    )
-    assert code == 0
-    parsed = list(csv.DictReader(io.StringIO(out)))
-    assert parsed and parsed[0]["N"] == "50"
-
-
 def test_output_flag_writes_file(schema, matrix_csv, tmp_path):
     dest = tmp_path / "report.json"
     code, out, _ = run_cli("split", "--input", matrix_csv, "--output", str(dest))
@@ -266,7 +251,24 @@ def test_output_flag_writes_file(schema, matrix_csv, tmp_path):
 def test_usage_errors_exit_one():
     assert run_cli("split")[0] == 1
     assert run_cli("frobnicate")[0] == 1
-    assert run_cli("scale", "--model", "D3", "--sizes", "nope", "--seed", "1")[0] == 1
+
+
+def test_the_schema_and_the_parser_name_the_same_commands(schema):
+    parser = cli._build_parser()
+    (subparsers,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    commands = list(subparsers.choices)
+    assert schema["properties"]["command"]["enum"] == commands
+    branches = [branch["if"]["properties"]["command"]["const"] for branch in schema["allOf"]]
+    assert branches == commands
+    reports = [name for name in schema["definitions"] if name.endswith("Report")]
+    assert reports == [f"{command}Report" for command in commands]
+
+    # a removed command is a usage error
+    code, out, err = run_cli("scale", "--model", "D3", "--sizes", "40,9", "--seed", "3")
+    assert (code, out) == (1, "")
+    errors = [line for line in err.splitlines() if line.startswith("error")]
+    assert len(errors) == 1
+    assert errors[0].startswith("error[_UsageError]: argument command: invalid choice: 'scale' ")
 
 
 @pytest.mark.parametrize("argv", [
@@ -320,8 +322,9 @@ def test_bin_width_beyond_int64_gives_one_bin(schema, matrix_csv):
 @pytest.mark.parametrize("argv, shape", [
     (("simulate", "--model", "D3", "--N", str(10**20), "--n", "4", "--seed", "1",
       "--output", "s.csv"), f"{10**20} x 4"),
-    (("scale", "--model", "D3", "--sizes", f"3,{10**20}", "--seed", "1"), f"3 x {10**20}"),
-], ids=["simulate", "scale"])
+    (("simulate", "--model", "D3", "--N", "3", "--n", str(10**20), "--seed", "1",
+      "--output", "s.csv"), f"3 x {10**20}"),
+], ids=["simulate", "simulate-n"])
 def test_matrices_too_large_to_index_are_range_errors(argv, shape, tmp_path, monkeypatch):
     # the model rejects the size before numpy allocates anything
     monkeypatch.chdir(tmp_path)

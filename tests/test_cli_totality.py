@@ -8,11 +8,9 @@ It exits 1 only for the input classes the README documents for these
 options; a failing run prints exactly one ``error[...]`` line on stderr
 and nothing on stdout.  A successful JSON report validates against the
 schema, a CSV table has a header and a line per row, and a rerun writes
-the same bytes.  ``scale``'s two wall-clock columns are the one
-documented exception and are left out of the rerun comparison.
+the same bytes.
 """
 
-import csv
 import io
 import json
 import os
@@ -27,7 +25,6 @@ from hypothesis import strategies as st
 from splitrel.cli import load_schema, main
 
 SCHEMA = load_schema()
-TIMING_COLUMNS = ("split_seconds", "total_seconds")
 MODELS = st.sampled_from(["D1", "D2", "D3", "D4"])
 SEEDS = st.integers(0, 2**64 - 1)
 
@@ -61,28 +58,16 @@ def split_options(draw):
     return argv
 
 
-def csv_format(draw):
-    return ["--format", "csv"] if draw(st.booleans()) else []
-
-
 @st.composite
 def runs(draw):
     """(argv, matrices to write as m0.csv, m1.csv, ..., the error type an
     exit 1 must name or None)."""
-    command = draw(st.sampled_from(
-        ["split", "reliability", "truescore", "battery", "simulate", "scale"]
-    ))
+    command = draw(st.sampled_from(["split", "reliability", "truescore", "battery", "simulate"]))
     n_examinees = draw(st.integers(2, 6))
     if command == "simulate":
         argv = ["simulate", "--model", draw(MODELS), "--N", str(n_examinees),
                 "--n", str(draw(st.integers(2, 7))), "--seed", str(draw(SEEDS)),
                 "--output", "sim.csv"]
-        return argv, [], None
-    if command == "scale":
-        sizes = draw(st.lists(st.tuples(st.integers(2, 6), st.integers(2, 7)),
-                              min_size=1, max_size=2))
-        argv = ["scale", "--model", draw(MODELS), "--seed", str(draw(SEEDS)),
-                "--sizes", *(f"{N},{n}" for N, n in sizes), *csv_format(draw)]
         return argv, [], None
     if command == "battery":
         tests = draw(st.lists(matrices(n_examinees), min_size=1, max_size=3))
@@ -94,8 +79,8 @@ def runs(draw):
     expected = None
     if command == "reliability":
         argv += ["--bin-width", str(draw(st.integers(1, 10)))]
-    else:
-        argv += csv_format(draw)
+    elif draw(st.booleans()):
+        argv += ["--format", "csv"]
     if command == "truescore":
         argv += ["--kind", draw(st.sampled_from(["classical", "split_half"]))]
         if draw(st.booleans()):
@@ -117,13 +102,7 @@ def outputs(argv, stdout):
     """The report bytes of a run: stdout, or the files ``simulate`` writes."""
     if argv[0] == "simulate":
         return [Path("sim.csv").read_text(), Path("sim.csv.meta.json").read_text()]
-    if argv[0] != "scale":
-        return [stdout]
-    if "csv" in argv:
-        rows = list(csv.DictReader(io.StringIO(stdout)))
-    else:
-        rows = json.loads(stdout)["report"]["rows"]
-    return [[{k: v for k, v in row.items() if k not in TIMING_COLUMNS} for row in rows]]
+    return [stdout]
 
 
 def check_report(argv, stdout):

@@ -1,14 +1,11 @@
 """Golden bytes: the sha256 of every CLI output on small seeded fixtures.
 
 The digests pin the exact report bytes, so a refactor that changes any
-number, key, format or line ending fails here.  ``scale`` rows carry
-wall-clock timings; those two columns are removed before hashing.
+number, key, format or line ending fails here.
 """
 
-import csv
 import hashlib
 import io
-import json
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
@@ -17,11 +14,9 @@ import pytest
 
 from splitrel.cli import main
 
-TIMING_COLUMNS = ("split_seconds", "total_seconds")
 BATTERY = ("battery", "--inputs", "t0.csv", "t1.csv", "t2.csv", "--weights")
 SIMULATE = ("simulate", "--model", "D3", "--N", "40", "--n", "9", "--seed", "5",
             "--output", "sim.csv")
-SCALE = ("scale", "--model", "D3", "--sizes", "40,9", "60,10", "--seed", "3")
 
 # name -> (argv, sha256 of the output).  The file named after "@" is
 # hashed instead of stdout.
@@ -55,10 +50,6 @@ GOLDEN = {
                      "695e48fc7289752cb8078df9ce10729030e2ab6ec4737c6e04d1ea3ecfae727a"),
     "simulate.meta.json": (SIMULATE + ("@sim.csv.meta.json",),
                            "55bb22a24df55883fe3ca04b0b4ff7de706a9a9d81e86b04e99f72dc41d7dcc2"),
-    "scale.json": (SCALE,
-                   "bb4e8ca0dd090bb9f254620c085f248d10729cab7350ba1ac476e52a80596c53"),
-    "scale.csv": (SCALE + ("--format", "csv"),
-                  "0279fb1927b2bb7bb08f69aedb168eb03b367d193a8709a7d1e894bc0cf853bc"),
     # a constant g half: null r_gh, F statistics and differences, plus warnings
     "reliability-null.json": (("reliability", "--input", "c.csv"),
                               "14fbb22f54d377a6c62d4d5b4606448b3ec12090ad7fcc270ede0394f34b5dc0"),
@@ -86,19 +77,7 @@ def fixtures(tmp_path, monkeypatch):
     return tmp_path
 
 
-def _without_timings(name: str, text: str) -> str:
-    if name.endswith(".json"):
-        doc = json.loads(text)
-        for row in doc["report"]["rows"]:
-            for key in TIMING_COLUMNS:
-                del row[key]
-        return json.dumps(doc, indent=2, sort_keys=True) + "\n"
-    rows = list(csv.reader(io.StringIO(text)))
-    keep = [i for i, col in enumerate(rows[0]) if col not in TIMING_COLUMNS]
-    return "".join(",".join(row[i] for i in keep) + "\n" for row in rows)
-
-
-def cli_output(name: str, argv: tuple[str, ...]) -> bytes:
+def cli_output(argv: tuple[str, ...]) -> bytes:
     target = None
     if argv[-1].startswith("@"):
         argv, target = argv[:-1], argv[-1][1:]
@@ -108,13 +87,10 @@ def cli_output(name: str, argv: tuple[str, ...]) -> bytes:
     assert code == 0, err.getvalue()
     if target is not None:
         return Path(target).read_bytes()
-    text = out.getvalue()
-    if argv[0] == "scale":
-        text = _without_timings(name, text)
-    return text.encode("utf-8")
+    return out.getvalue().encode("utf-8")
 
 
 @pytest.mark.parametrize("name", sorted(GOLDEN))
 def test_cli_output_bytes_are_pinned(name, fixtures):
     argv, digest = GOLDEN[name]
-    assert hashlib.sha256(cli_output(name, argv)).hexdigest() == digest
+    assert hashlib.sha256(cli_output(argv)).hexdigest() == digest

@@ -96,10 +96,26 @@ def test_exit_codes_and_messages(tmp_path):
 @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
 def test_a_failed_final_write_to_stdout_is_an_error_line(tmp_path):
     matrix = simulated(tmp_path / "m.csv")
-    with open("/dev/full", "wb") as full:
-        out = cli_process("split", "--input", matrix, stdout=full)
-    assert out.returncode == 1
-    assert out.stderr == b"error[OSError]: [Errno 28] No space left on device\n"
+    # --version and --help are written by argparse, not by the report writer
+    for argv in [("split", "--input", matrix), ("--version",), ("--help",)]:
+        with open("/dev/full", "wb") as full:
+            out = cli_process(*argv, stdout=full)
+        assert out.returncode == 1, argv
+        assert out.stderr == b"error[OSError]: [Errno 28] No space left on device\n", argv
+
+
+class FullStream(StringIO):
+    def write(self, text):
+        raise OSError(28, "No space left on device")
+
+
+def test_a_failed_unbuffered_write_of_help_or_version_is_an_error_line():
+    # an unbuffered stdout fails at the write, which argparse itself drops
+    for flag in ("--version", "--help"):
+        err = StringIO()
+        with redirect_stdout(FullStream()), redirect_stderr(err):
+            assert cli.main([flag]) == 1
+        assert err.getvalue() == "error[OSError]: [Errno 28] No space left on device\n"
 
 
 def collector_and_threads():

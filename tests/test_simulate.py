@@ -1,5 +1,5 @@
-"""Response simulation: the RNG protocol, the four models, scaling runs,
-and the squared-sum gap bound evaluated with the generative probabilities."""
+"""Response simulation: the RNG protocol, the four models, and the
+squared-sum gap bound evaluated with the generative probabilities."""
 
 import dataclasses
 
@@ -19,7 +19,6 @@ from splitrel import (
     sub_test_scores,
 )
 from splitrel import simulate
-from splitrel.cli import scaling_suite
 
 from conftest import reference_probabilities
 
@@ -184,21 +183,3 @@ def test_squared_sum_gap_survives_perfect_balance():
     assert eps == 0
     assert eps_p == pytest.approx(0.0, abs=1e-9)
     assert gap > 0
-
-
-def test_scaling_suite_rows_and_determinism():
-    rows = scaling_suite([(60, 10), (120, 10)], "D3", seed=88)
-    again = scaling_suite([(60, 10), (120, 10)], "D3", seed=88)
-    assert [r["abs_S"] for r in rows] == [r["abs_S"] for r in again]
-    assert [r["N"] for r in rows] == [60, 120]
-    for row in rows:
-        for key in ("N", "n", "seed", "split_seconds", "total_seconds",
-                    "abs_S", "iterations", "r_tt"):
-            assert key in row
-        assert row["split_seconds"] <= row["total_seconds"]
-        assert row["abs_S"] >= 0
-
-
-def test_scaling_suite_requires_sizes():
-    with pytest.raises(TooSmall):
-        scaling_suite([], "D3", seed=88)
