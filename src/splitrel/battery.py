@@ -178,20 +178,21 @@ class BatteryReport:
 def covariance_matrix(b: BatteryInput) -> CovMatrix:
     """Population covariances between all component score vectors.
 
-    The diagonal must reproduce each test's declared variance; a
-    mismatch means the caller paired the wrong constants with the wrong
-    scores, which is worth failing loudly over.
+    Each is (N sum t_i t_j - sum t_i sum t_j) / N^2 in exact integers,
+    rounded once.  The diagonal must reproduce each test's declared
+    variance; a mismatch means the caller paired the wrong constants
+    with the wrong scores, which is worth failing loudly over.
     """
     n = b.n_examinees
     if n < 2:
         raise TooSmall(f"covariances need at least 2 examinees, got {n}")
-    centered = [t.scores.totals.astype(np.float64) for t in b.tests]
-    centered = [v - v.mean() for v in centered]
+    totals = [t.scores.totals for t in b.tests]
+    sums = [int(v.sum()) for v in totals]
     k = b.k
     d = np.empty((k, k), dtype=np.float64)
     for i in range(k):
         for j in range(i, k):
-            c = float(np.dot(centered[i], centered[j])) / n
+            c = (n * int(np.dot(totals[i], totals[j])) - sums[i] * sums[j]) / (n * n)
             d[i, j] = c
             d[j, i] = c
     for i, t in enumerate(b.tests):

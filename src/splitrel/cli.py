@@ -12,8 +12,8 @@ so ``simulate`` never loads the splitter and ``reliability`` never loads
 the battery algebra.
 
 Exit codes: 0 success, 1 usage or validation error (or too little
-memory), 2 degenerate computation (zero variance, singular matrix,
-failed cross-check, or a reliability outside [0, 1] for ``truescore``).
+memory), 2 degenerate computation (zero variance, singular matrix, an
+unconverged F-test p-value, or a reliability outside [0, 1] for ``truescore``).
 """
 
 from __future__ import annotations

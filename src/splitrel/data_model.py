@@ -10,9 +10,8 @@ against the all-correct reference vector I = (n, ..., n):
     variance = ||X||^2 sin(theta_X)^2 / N        (population convention)
     ||I||    = sqrt(N n^2)
 
-``descriptive_stats`` evaluates both the geometric route and the direct
-moment route and requires them to agree to 1e-9 relative, so the two
-stay cross-checked on every call.
+``descriptive_stats`` reports the norm and the angle, and takes the mean
+and variance from exact integer sums, each rounded once.
 
 Totals are exact integers; statistics are binary64 floats.  Missing
 responses are not supported: every cell must be exactly 0 or 1.
@@ -35,7 +34,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import CrossCheckFailed, DomainViolation, ShapeError, TooSmall
+from .errors import DomainViolation, ShapeError, TooSmall
 
 __all__ = [
     "ScoreMatrix",
@@ -47,10 +46,8 @@ __all__ = [
     "item_totals",
     "examinee_totals",
     "descriptive_stats",
-    "mean_from_norms",
 ]
 
-_REL_TOL = 1e-9
 # cells per row block of the canonical parse: its uint16 buffer stays small
 _BLOCK_CELLS = 1 << 16
 
@@ -200,11 +197,6 @@ class RowBlock:
     def tolist(self) -> list[dict]:
         rows = zip(*(column.tolist() for column in self.columns))
         return [dict(zip(self.fields, values)) for values in rows]
-
-
-def mean_from_norms(norm_x: float, cos_theta_x: float, n_examinees: int) -> float:
-    """Test mean from the score-vector norm and its angle: ||X|| cos(theta)/sqrt(N)."""
-    return norm_x * cos_theta_x / math.sqrt(n_examinees)
 
 
 def _read(source) -> bytes | str | mmap.mmap:
@@ -422,11 +414,10 @@ def descriptive_stats(x: ExamineeScores, n: int) -> TestStats:
     Returns
     -------
     TestStats
-        With ``mean`` and ``variance`` computed by the direct moment
-        formulas and verified against the geometric route
-        (||X|| cos(theta)/sqrt(N) and ||X||^2 sin(theta)^2/N) to 1e-9
-        relative.  An all-zero score vector yields cos_theta_X = NaN and
-        a note, since the angle is undefined at the origin.
+        ``mean`` = sum X / N and ``variance`` = (N sum X^2 - (sum X)^2) / N^2,
+        each the exact rational rounded once.  An all-zero score vector
+        yields cos_theta_X = NaN and a note, since the angle is undefined
+        at the origin.
 
     Raises
     ------
@@ -435,17 +426,12 @@ def descriptive_stats(x: ExamineeScores, n: int) -> TestStats:
     """
     if n < 1:
         raise TooSmall(f"need n >= 1, got {n}")
-    big = x.totals.astype(np.int64)
-    n_examinees = int(big.size)
-
-    total = int(big.sum())
-    sum_sq = int(np.dot(big, big))
+    n_examinees = x.n_examinees
+    if n_examinees < 2:
+        raise TooSmall(f"need at least 2 examinees, got {n_examinees}")
+    total = int(x.totals.sum())
+    sum_sq = int(np.dot(x.totals, x.totals))
     norm_x = math.sqrt(sum_sq)
-    norm_i = n * math.sqrt(n_examinees)
-
-    mean = total / n_examinees
-    deviations = big - mean
-    variance = float(np.dot(deviations, deviations)) / n_examinees
 
     notes: tuple[str, ...] = ()
     if norm_x == 0.0:
@@ -454,21 +440,12 @@ def descriptive_stats(x: ExamineeScores, n: int) -> TestStats:
     else:
         # cos(theta_X) = sum(X_i * n) / (||X|| * ||I||); the n cancels.
         cos_theta = total / (norm_x * math.sqrt(n_examinees))
-        mean_geo = mean_from_norms(norm_x, cos_theta, n_examinees)
-        # sin^2(theta_X) from the exact integer sums: 1 - cos^2 in floats
-        # cancels catastrophically for long near-ceiling tests
-        sin_sq = (n_examinees * sum_sq - total * total) / (n_examinees * sum_sq)
-        var_geo = sum_sq * sin_sq / n_examinees
-        if not math.isclose(mean_geo, mean, rel_tol=_REL_TOL, abs_tol=1e-12):
-            raise CrossCheckFailed("geometric and direct means disagree beyond tolerance")
-        if not math.isclose(var_geo, variance, rel_tol=_REL_TOL, abs_tol=1e-9):
-            raise CrossCheckFailed("geometric and direct variances disagree beyond tolerance")
 
     return TestStats(
-        mean=mean,
-        variance=variance,
+        mean=total / n_examinees,
+        variance=(n_examinees * sum_sq - total * total) / (n_examinees * n_examinees),
         norm_X=norm_x,
-        norm_I=norm_i,
+        norm_I=n * math.sqrt(n_examinees),
         cos_theta_X=cos_theta,
         N=n_examinees,
         n=n,

@@ -62,4 +62,4 @@ class Degenerate(DegeneracyError):
 
 
 class CrossCheckFailed(DegeneracyError):
-    """Two routes to the same statistic disagree beyond their tolerance."""
+    """The F-test p-value's continued fraction did not converge."""

@@ -20,7 +20,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .data_model import ScoreMatrix, TestStats, _frozen_int_array, mean_from_norms
+from .data_model import ScoreMatrix, TestStats, _frozen_int_array
 from .errors import CrossCheckFailed, RangeError, ShapeError, TooSmall, ZeroVariance
 from .splitter import Assignment
 
@@ -134,23 +134,25 @@ class ReliabilityReport:
         return {**vars(self), "warnings": list(self.warnings)}
 
 
-def _half_products(s: SubTestScores) -> tuple[int, int, int]:
-    """||X_g||^2, ||X_h||^2 and <X_g, X_h> as exact Python integers."""
-    return int(np.dot(s.g, s.g)), int(np.dot(s.h, s.h)), int(np.dot(s.g, s.h))
+def _moments(s: SubTestScores) -> tuple[int, int, int, int, int]:
+    """Sum g, sum h, ||X_g||^2, ||X_h||^2 and <X_g, X_h> as exact Python ints;
+    int64 sums do not go through BLAS, so no thread count changes them."""
+    g, h = s.g, s.h
+    return int(g.sum()), int(h.sum()), int(np.dot(g, g)), int(np.dot(h, h)), int(np.dot(g, h))
 
 
 def split_half_correlation(s: SubTestScores) -> float:
     """Pearson correlation between the half scores; NaN if either half
-    has zero variance."""
-    g = s.g.astype(np.float64)
-    h = s.h.astype(np.float64)
-    dg = g - g.mean()
-    dh = h - h.mean()
-    denom_g = float(np.dot(dg, dg))
-    denom_h = float(np.dot(dh, dh))
-    if denom_g == 0.0 or denom_h == 0.0:
+    has zero variance.  r_gh^2 is a ratio of exact integers rounded
+    once, so r_gh, its signed square root, is within 1 ulp."""
+    n = s.n_examinees
+    sum_g, sum_h, sq_g, sq_h, cross = _moments(s)
+    var_g = n * sq_g - sum_g * sum_g
+    var_h = n * sq_h - sum_h * sum_h
+    if var_g == 0 or var_h == 0:
         return float("nan")
-    return float(np.dot(dg, dh) / math.sqrt(denom_g * denom_h))
+    cov = n * cross - sum_g * sum_h
+    return math.copysign(math.sqrt(cov * cov / (var_g * var_h)), cov)
 
 
 def f_test_equal_variance(s: SubTestScores) -> tuple[float, float]:
@@ -158,19 +160,20 @@ def f_test_equal_variance(s: SubTestScores) -> tuple[float, float]:
 
     F is the larger sample variance over the smaller, with (N-1, N-1)
     degrees of freedom; the p-value comes from the regularised
-    incomplete beta function (``_f_p_value``).  Note this compares
-    observed sub-test score variances (see the report note).
+    incomplete beta function (``_f_p_value``).  F is a ratio of exact
+    integers rounded once.  Note this compares observed sub-test score
+    variances (see the report note).
     """
     n = s.n_examinees
     if n < 3:
         raise TooSmall(f"F-test needs at least 3 examinees, got {n}")
-    var_g = float(np.var(s.g.astype(np.float64), ddof=1))
-    var_h = float(np.var(s.h.astype(np.float64), ddof=1))
+    sum_g, sum_h, sq_g, sq_h, _ = _moments(s)
+    var_g = n * sq_g - sum_g * sum_g
+    var_h = n * sq_h - sum_h * sum_h
     lo = min(var_g, var_h)
-    hi = max(var_g, var_h)
-    if lo == 0.0:
+    if lo == 0:
         raise ZeroVariance("a sub-test has zero score variance, F-test undefined")
-    f = hi / lo
+    f = max(var_g, var_h) / lo
     return f, _f_p_value(f, n - 1)
 
 
@@ -244,11 +247,8 @@ def true_score_geometry(stats: TestStats, r_tt: float) -> TrueScoreGeometry:
 
     S_T^2 = r_tt * S_X^2; the true-score vector has the same mean as the
     observed one, so ||T|| = sqrt(N (mean^2 + S_T^2)) and
-    cos(theta_T) = (||X|| / ||T||) cos(theta_X).  The mean is recovered
-    as ||T|| cos(theta_T) / sqrt(N), the check ``descriptive_stats``
-    makes for the observed scores.  (The variance route through
-    1 - cos^2(theta_T) is the same quantity and can only disagree by
-    cancellation, as it does on long near-ceiling tests.)
+    cos(theta_T) = (||X|| / ||T||) cos(theta_X); ||T|| cos(theta_T) /
+    sqrt(N) gives the mean back, which a property test bounds in ulp.
     """
     if not 0.0 <= r_tt <= 1.0:
         raise RangeError(f"true-score geometry needs r_tt in [0, 1], got {r_tt}")
@@ -256,13 +256,7 @@ def true_score_geometry(stats: TestStats, r_tt: float) -> TrueScoreGeometry:
     norm_t = math.sqrt(stats.N * (stats.mean * stats.mean + s_t_sq))
     if norm_t == 0.0 or math.isnan(stats.cos_theta_X):
         return TrueScoreGeometry(s_t_sq, norm_t, float("nan"))
-    cos_t = (stats.norm_X / norm_t) * stats.cos_theta_X
-    via_angle = mean_from_norms(norm_t, cos_t, stats.N)
-    if not math.isclose(via_angle, stats.mean, rel_tol=1e-9, abs_tol=1e-12):
-        raise CrossCheckFailed(
-            f"true-score mean routes disagree: {via_angle} vs {stats.mean}"
-        )
-    return TrueScoreGeometry(s_t_sq, norm_t, cos_t)
+    return TrueScoreGeometry(s_t_sq, norm_t, (stats.norm_X / norm_t) * stats.cos_theta_X)
 
 
 def classical_reliability(s: SubTestScores, stats: TestStats) -> ReliabilityReport:
@@ -271,21 +265,24 @@ def classical_reliability(s: SubTestScores, stats: TestStats) -> ReliabilityRepo
     ``stats`` must describe the reduced test, i.e. the per-examinee sums
     X = X_g + X_h over the same examinees (a dropped odd item is part of
     neither).  Raises ZeroVariance when those totals do not vary at all,
-    since no reliability is defined then.
+    since no reliability is defined then.  With the exact integers
+    V = N^2 S_X^2 and D = ||X_g - X_h||^2, error_variance = D / N,
+    r_tt = (V - N D) / V and S_T^2 = (V - N D) / N^2, each rounded once.
     """
     n = s.n_examinees
     if stats.N != n:
         raise ShapeError(
             f"stats describe {stats.N} examinees but sub-tests have {n}"
         )
-    if not stats.variance > 0.0:
+    sum_g, sum_h, sq_g, sq_h, cross = _moments(s)
+    total = sum_g + sum_h
+    v = n * (sq_g + sq_h + 2 * cross) - total * total
+    if v == 0:
         raise ZeroVariance("total-score variance is zero, reliability undefined")
 
     warnings: list[str] = []
-    sq_g, sq_h, cross = _half_products(s)
-    err = (sq_g + sq_h - 2 * cross) / n
-    denom = n * stats.variance
-    r_tt = 1.0 - err / stats.variance
+    d = sq_g + sq_h - 2 * cross
+    r_tt = (v - n * d) / v
     if r_tt < 0.0:
         warnings.append(
             "negative reliability: error variance exceeds observed score variance"
@@ -293,7 +290,7 @@ def classical_reliability(s: SubTestScores, stats: TestStats) -> ReliabilityRepo
 
     norm_g = math.sqrt(sq_g)
     norm_h = math.sqrt(sq_h)
-    r_equal_norm = 1.0 - 2.0 * (norm_g * norm_h - cross) / denom
+    r_equal_norm = 1.0 - 2.0 * n * (norm_g * norm_h - cross) / v
 
     r_gh = split_half_correlation(s)
     if math.isnan(r_gh):
@@ -306,12 +303,12 @@ def classical_reliability(s: SubTestScores, stats: TestStats) -> ReliabilityRepo
         warnings.append(f"F-test skipped: {exc}")
 
     return ReliabilityReport(
-        error_variance=err,
+        error_variance=d / n,
         r_tt=r_tt,
         r_tt_equal_norm=r_equal_norm,
         r_gh=r_gh,
         r_XT=math.sqrt(max(r_tt, 0.0)),
-        S_T_sq=r_tt * stats.variance,
+        S_T_sq=(v - n * d) / (n * n),
         f_stat=f_stat,
         f_p_value=f_p,
         f_test_note=_F_TEST_NOTE,

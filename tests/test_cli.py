@@ -17,7 +17,7 @@ import numpy as np
 import pytest
 
 import splitrel
-from splitrel import ScoreMatrix, cli, data_model, write_score_matrix
+from splitrel import ScoreMatrix, cli, write_score_matrix
 from splitrel.cli import load_schema, main
 
 from conftest import TABLE2_TOTALS, TABLE2_N, column_fill
@@ -155,7 +155,7 @@ def test_truescore_with_a_negative_reliability_exits_two(tmp_path):
     code, out, err = run_cli("truescore", "--input", path)
     assert (code, out) == (2, "")
     assert err == (
-        "error[Degenerate]: classical reliability is -0.0040497145204050344, "
+        "error[Degenerate]: classical reliability is -0.0040497145204050735, "
         "outside [0, 1], so true scores are undefined\n"
     )
 
@@ -452,18 +452,6 @@ def test_near_ceiling_long_test_gets_a_report(schema, tmp_path):
     assert doc["report"]["stats"]["full"]["n"] == 5000
 
 
-def test_failed_cross_check_is_an_error_line_not_a_traceback(matrix_csv, monkeypatch):
-    # perturb the geometric route to the mean so the stats cross-check fails
-    mean_from_norms = data_model.mean_from_norms
-    monkeypatch.setattr(
-        data_model, "mean_from_norms", lambda *args: mean_from_norms(*args) * (1 + 1e-6)
-    )
-    code, out, err = run_cli("reliability", "--input", matrix_csv)
-    assert code == 2
-    assert out == ""
-    assert err == "error[CrossCheckFailed]: geometric and direct means disagree beyond tolerance\n"
-
-
 def test_near_ceiling_true_score_geometry_gets_a_report(schema, tmp_path):
     # 40 x 4000, all correct but 0-5 misses each: the true-score variance
     # cross-check once raised a false ArithmeticError on this input
@@ -506,7 +494,8 @@ def test_version_flag():
 # became their only declaration, less the true-score row tuples, which
 # left the API when the tables became their columns, and less the four
 # names only tests called (the exhaustive split, its error, and the two
-# variance helpers), whose checks moved onto exact oracles and report fields
+# variance helpers), whose checks moved onto exact oracles and report
+# fields, and less mean_from_norms, whose identity is now a property test
 PUBLIC_API = {
     "__version__",
     "ToolkitError", "DomainViolation", "ShapeError", "TooSmall",
@@ -514,7 +503,6 @@ PUBLIC_API = {
     "CrossCheckFailed",
     "ScoreMatrix", "ItemScores", "ExamineeScores", "TestStats", "load_score_matrix",
     "write_score_matrix", "item_totals", "examinee_totals", "descriptive_stats",
-    "mean_from_norms",
     "Assignment", "SplitResult", "seed_allocation", "swap_refine", "product_refine",
     "split",
     "SubTestScores", "ReliabilityReport", "TrueScoreGeometry", "sub_test_scores",

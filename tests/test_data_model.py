@@ -1,10 +1,13 @@
-"""Score containers, CSV round trips, and the two-route descriptive stats."""
+"""Score containers, CSV round trips, and the descriptive stats with their
+person-space identities."""
 
 import dataclasses
 import io
+import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies
 
 from splitrel import (
     DomainViolation,
@@ -18,7 +21,7 @@ from splitrel import (
     examinee_totals,
     item_totals,
     load_score_matrix,
-    mean_from_norms,
+    true_score_geometry,
     write_score_matrix,
 )
 
@@ -126,7 +129,7 @@ def test_descriptive_stats_against_hand_values():
     assert st.norm_X == pytest.approx(np.sqrt(4 + 1 + 9 + 0))
     assert st.N == 4 and st.n == 3
     # geometry route: mean = ||X|| cos(theta) / sqrt(N)
-    assert mean_from_norms(st.norm_X, st.cos_theta_X, st.N) == pytest.approx(1.5)
+    assert st.norm_X * st.cos_theta_X / np.sqrt(st.N) == pytest.approx(1.5)
     # and variance = ||X||^2 sin^2(theta) / N
     sin_sq = 1.0 - st.cos_theta_X**2
     assert st.norm_X**2 * sin_sq / st.N == pytest.approx(st.variance)
@@ -135,9 +138,56 @@ def test_descriptive_stats_against_hand_values():
 
 def test_descriptive_stats_near_ceiling_long_test():
     # 1 - cos^2(theta) in floats cancels for totals this close to n; the
-    # geometric cross-check must not report a disagreement that is not there
+    # variance comes from the exact sums instead
     st = descriptive_stats(ExamineeScores([5000, 5000, 4999] * 10), 5000)
     assert st.variance == pytest.approx(2 / 9, rel=1e-9)
+
+
+# The person-space identities, each checked against the reported mean or
+# variance (correctly rounded, so within 0.5 ulp of the exact value).  A
+# route of k floating-point roundings, each of relative size at most
+# 2**-53, is less than k ulp from the exact value, so it may differ from
+# the report by k + 0.5 ulp.  The roundings, with the drawn sums below
+# 2**53 so that converting them is exact:
+# - ||X|| cos(theta_X) / sqrt(N): ||X|| cancels exactly, since cos(theta_X)
+#   = sum X / (||X|| sqrt(N)) was computed from the same float; sqrt(N)
+#   enters twice, plus one product and one quotient in cos(theta_X) and
+#   the two here: 6;
+# - ||X||^2 sin^2(theta_X) / N, with sin^2 from the exact sums as
+#   (N sum X^2 - (sum X)^2) / (N sum X^2), because 1 - cos^2 cancels in
+#   floats: ||X||'s square root enters twice, then the square, the
+#   quotient, the product and the division by N: 6;
+# - ||T|| cos(theta_T) / sqrt(N), with cos(theta_T) = (||X|| / ||T||)
+#   cos(theta_X): ||T|| cancels exactly and leaves ||X|| cos(theta_X)
+#   with the quotient and the product in cos(theta_T) and the product
+#   here, then the division by sqrt(N): 8.
+IDENTITY_ULPS = {"mean": 6.5, "variance": 6.5, "true-score mean": 8.5}
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    strategies.integers(1, 10000).flatmap(
+        lambda n: strategies.tuples(
+            strategies.just(n),
+            strategies.lists(strategies.integers(0, n), min_size=2, max_size=200).filter(any),
+            strategies.floats(0.0, 1.0),
+        )
+    )
+)
+def test_person_space_identities_hold_within_their_rounding_bounds(case):
+    n, totals, r_tt = case
+    stats = descriptive_stats(ExamineeScores(totals), n)
+    N, total, sum_sq = len(totals), sum(totals), sum(t * t for t in totals)
+    sin_sq = (N * sum_sq - total * total) / (N * sum_sq)
+    geometry = true_score_geometry(stats, r_tt)
+    routes = {
+        "mean": (stats.norm_X * stats.cos_theta_X / math.sqrt(N), stats.mean),
+        "variance": (stats.norm_X**2 * sin_sq / N, stats.variance),
+        "true-score mean": (geometry.norm_T * geometry.cos_theta_T / math.sqrt(N), stats.mean),
+    }
+    for name, (route, reported) in routes.items():
+        ulps = abs(route - reported) / math.ulp(reported)
+        assert ulps <= IDENTITY_ULPS[name], (name, route, reported, ulps)
 
 
 def test_descriptive_stats_vs_numpy_on_random_vectors():
@@ -147,13 +197,6 @@ def test_descriptive_stats_vs_numpy_on_random_vectors():
         st = descriptive_stats(ExamineeScores(vals), 40)
         assert st.mean == pytest.approx(float(np.mean(vals)), rel=1e-12)
         assert st.variance == pytest.approx(float(np.var(vals)), rel=1e-12, abs=1e-12)
-
-
-def test_descriptive_stats_single_examinee():
-    st = descriptive_stats(ExamineeScores([4]), 6)
-    assert st.mean == pytest.approx(4.0)
-    assert st.variance == pytest.approx(0.0)
-    assert st.cos_theta_X == pytest.approx(1.0)
 
 
 def test_descriptive_stats_to_dict_keys():
@@ -176,3 +219,5 @@ def test_descriptive_stats_zero_vector_has_nan_angle():
 def test_descriptive_stats_rejects_bad_item_count():
     with pytest.raises(TooSmall):
         descriptive_stats(ExamineeScores([1, 2]), 0)
+    with pytest.raises(TooSmall, match="need at least 2 examinees, got 1"):
+        descriptive_stats(ExamineeScores([3]), 5)

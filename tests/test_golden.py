@@ -31,21 +31,21 @@ GOLDEN = {
                                "--max-iter", "3"),
                               "6ba1f28f088bbf076e5aee248bbd5bad512065a061e5077f6ea26e7ccbcd1711"),
     "reliability.json": (("reliability", "--input", "m.csv", "--bin-width", "3"),
-                         "c6b98d671fe6062df00d2294653fd0d7fef36aad651ca49494736e9906aae84f"),
+                         "109e56eaddaf3956994b047a361edcdf45dea6dd02ccaaca47f3b2d547bbed9d"),
     "truescore.json": (("truescore", "--input", "m.csv", "--percentile-of", "12"),
-                       "a73d5614168da6fb7cbb4a00cef5a7eb25bab293d445e277bdd442dfed492e44"),
+                       "ac80098d68d3e2cde659ee2bf3d1aa860f68a996ac97efe2e4fe67054d8d8733"),
     "truescore.csv": (("truescore", "--input", "m.csv", "--format", "csv"),
-                      "2f4245ffd91727e77f70851c30c9e268ca10d46f58befc28b484b6721c02234f"),
+                      "2610b53db798096f914d130d5f64c12cac593e62dd062e5c15a7a7479f4ac1ce"),
     "battery-optimal.json": (BATTERY + ("optimal",),
-                             "8fd61a1ba43574ef2e774700a35f2c1a6470f361691347f6be25fb9b561a7204"),
+                             "efd70c4241bbc432724f93b877e4ffa5051cdd0ef4e6170ea5d0de26036e415c"),
     "battery-nonneg.json": (BATTERY + ("nonneg",),
-                            "6373587925a39c0c4e7adffa33f7091ee0dc5a2382e078fb7d570bc301a0ba7e"),
+                            "f6026249c6f829a151190badec8ccba10c9ab5506fd0470b1a6a7421050089a2"),
     "battery-eigen-cov.json": (BATTERY + ("eigen-cov",),
-                               "af12fcf1198d995680fdc5b378cda0e276ce5411bc0bc12c9309b8c771e29295"),
+                               "49a333303afeb4d645f9cfd08e3e3da859db377d8d938fc790090a52988ca743"),
     "battery-eigen-corr.json": (BATTERY + ("eigen-corr",),
-                                "a886a7e64d359b2fd687e240bff71a830f2c8178c6e88ba799615abbe360c4b9"),
+                                "f5aad5ad360ce45d3d8485a849c830d765bb310e8aa9ac229e226d13b0936713"),
     "battery-equal.json": (BATTERY + ("equal",),
-                           "fba209ccb93291dbdeab3f2cac14b52536cef6fac950f319e66d0dc14197c3d8"),
+                           "6b5f7a0c47b63123e4a787b5c43ac2e07bb025d201a5282f4b0212d4b75cc483"),
     "simulate.csv": (SIMULATE + ("@sim.csv",),
                      "695e48fc7289752cb8078df9ce10729030e2ab6ec4737c6e04d1ea3ecfae727a"),
     "simulate.meta.json": (SIMULATE + ("@sim.csv.meta.json",),

@@ -27,10 +27,10 @@ ENV["PYTHONPATH"] = os.pathsep.join(sys.path)
 NOISE = ("Exception ignored", "Exception in thread", "Traceback")
 
 
-def cli_process(*argv, stdout=subprocess.PIPE) -> subprocess.CompletedProcess:
+def cli_process(*argv, stdout=subprocess.PIPE, env=ENV) -> subprocess.CompletedProcess:
     out = subprocess.run(
         [sys.executable, "-m", "splitrel.cli", *argv],
-        env=ENV, stdout=stdout, stderr=subprocess.PIPE, timeout=120,
+        env=env, stdout=stdout, stderr=subprocess.PIPE, timeout=120,
     )
     assert not any(noise.encode() in out.stderr for noise in NOISE), out.stderr
     return out
@@ -80,7 +80,7 @@ def test_exit_codes_and_messages(tmp_path):
     degenerate = cli_process("truescore", "--input", d4)
     assert (degenerate.returncode, degenerate.stdout) == (2, b"")
     assert degenerate.stderr == (
-        b"error[Degenerate]: classical reliability is -0.0040497145204050344, "
+        b"error[Degenerate]: classical reliability is -0.0040497145204050735, "
         b"outside [0, 1], so true scores are undefined\n"
     )
 
@@ -207,3 +207,29 @@ def test_the_worker_and_the_fifo_reader_lose_no_digest(tmp_path):
     want = {path: sha256(path) for path in files}
     want[str(fifo)] = hashlib.sha256(data).hexdigest()
     assert json.loads(out)["inputs"] == want
+
+
+@pytest.fixture(scope="module")
+def thread_count_runs(tmp_path_factory):
+    """argv of three reports on D3 matrices of 12000 rows.  OpenBLAS
+    splits a float64 dot product over more than 10000 elements across its
+    threads, and with a dot over the score deviations each of these
+    reports had different bytes under 1 and 2 threads."""
+    d = tmp_path_factory.mktemp("threads")
+    wide = simulated(d / "wide.csv", N=12000, n=21, seed=7)
+    tests = [simulated(d / f"t{seed}.csv", N=12000, n=11, seed=seed) for seed in (1, 2, 3, 4)]
+    return {
+        "reliability": ("reliability", "--input", wide, "--bin-width", "5"),
+        "truescore": ("truescore", "--input", tests[2]),
+        "battery": ("battery", "--inputs", *tests, "--weights", "eigen-corr"),
+    }
+
+
+@pytest.mark.parametrize("command", ["reliability", "truescore", "battery"])
+def test_report_bytes_do_not_depend_on_the_blas_thread_count(thread_count_runs, command):
+    digests = set()
+    for threads in ("1", "2"):
+        out = cli_process(*thread_count_runs[command], env={**ENV, "OPENBLAS_NUM_THREADS": threads})
+        assert (out.returncode, out.stderr) == (0, b"")
+        digests.add(hashlib.sha256(out.stdout).hexdigest())
+    assert len(digests) == 1
