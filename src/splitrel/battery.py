@@ -50,6 +50,16 @@ __all__ = [
 _METHODS = ("lagrange", "nonneg_qp", "eigen_cov", "eigen_corr", "equal")
 
 
+def _check_symmetric(a: np.ndarray, what: str) -> None:
+    """Raise unless ``a`` is square, nonempty and symmetric: no entry of
+    a - a' may exceed 1e-12 times max(1, largest |entry| of a)."""
+    if a.ndim != 2 or a.shape[0] != a.shape[1] or a.shape[0] < 1:
+        raise ShapeError(f"{what} must be square and nonempty")
+    scale = max(1.0, float(np.abs(a).max()))
+    if float(np.abs(a - a.T).max()) > 1e-12 * scale:
+        raise DomainViolation(f"{what} must be symmetric")
+
+
 @dataclass(frozen=True)
 class ComponentTest:
     """One test of the battery: its score vector plus summary constants."""
@@ -101,11 +111,7 @@ class CovMatrix:
 
     def __post_init__(self) -> None:
         a = np.array(self.d, dtype=np.float64)
-        if a.ndim != 2 or a.shape[0] != a.shape[1] or a.shape[0] < 1:
-            raise ShapeError("covariance matrix must be square and nonempty")
-        scale = max(1.0, float(np.abs(a).max()))
-        if float(np.abs(a - a.T).max()) > 1e-12 * scale:
-            raise DomainViolation("covariance matrix must be symmetric")
+        _check_symmetric(a, "covariance matrix")
         if (np.diag(a) < 0).any():
             raise DomainViolation("variances on the diagonal must be nonnegative")
         a.setflags(write=False)
@@ -270,30 +276,34 @@ def weighted_reliability(b: BatteryInput, d: CovMatrix, w: WeightVector) -> Batt
     )
 
 
+def _lagrange(a: np.ndarray, what: str) -> tuple[np.ndarray, float]:
+    """Solve D z = e for D = ``a`` (no inverse formed); return z / e'z and
+    e'z.  ``what`` names ``a`` in the SingularMatrix raised when z is not
+    unique and in the Degenerate raised when e'z is 0 or not finite."""
+    try:
+        z = np.linalg.solve(a, np.ones(len(a)))
+    except np.linalg.LinAlgError:
+        raise SingularMatrix(f"{what} is singular; weights undefined") from None
+    total = float(z.sum())
+    if total == 0.0 or not math.isfinite(total):
+        raise Degenerate(f"e' D^-1 e vanishes for the {what}; weights undefined")
+    return z / total, total
+
+
 def optimal_weights(d: CovMatrix) -> WeightVector:
     """Minimum-variance weights W = D^-1 e / (e' D^-1 e).
 
-    Solved directly from D z = e rather than by forming an inverse.
     An ill-conditioned D (condition estimate above 1e12) still returns
     weights but carries a warning.
     """
-    a = d.d
-    e = np.ones(d.k)
-    try:
-        z = np.linalg.solve(a, e)
-    except np.linalg.LinAlgError:
-        raise SingularMatrix("covariance matrix is singular; weights undefined") from None
+    w, total = _lagrange(d.d, "covariance matrix")
     warnings = []
-    cond = float(np.linalg.cond(a))
+    cond = float(np.linalg.cond(d.d))
     if not math.isfinite(cond) or cond > 1e12:
         warnings.append(
             f"covariance matrix is ill-conditioned (cond ~ {cond:.3g}); "
             "weights may be numerically unstable"
         )
-    total = float(z.sum())
-    if total == 0.0 or not math.isfinite(total):
-        raise Degenerate("e' D^-1 e vanishes; minimum-variance weights undefined")
-    w = z / total
     return WeightVector(
         w=w,
         lam=2.0 / total,
@@ -309,22 +319,11 @@ def nonnegative_weights(d: CovMatrix) -> WeightVector:
     current support; if any weight is negative, pin the most negative
     one (lowest index on ties) to zero and re-solve.  At most K rounds.
     """
-    a = d.d
     k = d.k
     support = list(range(k))
     while support:
-        sub = a[np.ix_(support, support)]
-        e = np.ones(len(support))
-        try:
-            z = np.linalg.solve(sub, e)
-        except np.linalg.LinAlgError:
-            raise SingularMatrix(
-                f"covariance sub-matrix on support {support} is singular"
-            ) from None
-        total = float(z.sum())
-        if total == 0.0 or not math.isfinite(total):
-            raise Degenerate("e' D^-1 e vanishes on the current support")
-        w_s = z / total
+        what = f"covariance sub-matrix of support {support}"
+        w_s, total = _lagrange(d.d[np.ix_(support, support)], what)
         if (w_s >= 0.0).all():
             w = np.zeros(k)
             w[support] = w_s
@@ -352,11 +351,7 @@ def jacobi_eigh(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     hand-written Jacobi solver because it is public API.
     """
     a = np.array(a, dtype=np.float64)
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
-        raise ShapeError("eigen decomposition needs a square matrix")
-    scale = max(1.0, float(np.abs(a).max()))
-    if float(np.abs(a - a.T).max()) > 1e-12 * scale:
-        raise DomainViolation("eigen decomposition needs a symmetric matrix")
+    _check_symmetric(a, "matrix to decompose")
     vals, vecs = np.linalg.eigh(a)
     order = np.argsort(-vals, kind="stable")
     return vals[order], vecs[:, order]

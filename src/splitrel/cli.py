@@ -485,9 +485,8 @@ def _cmd_battery(args: argparse.Namespace) -> None:
 def _cmd_simulate(args: argparse.Namespace) -> None:
     _bind("simulate")
     model = SimModel(kind=args.model, N=args.N, n=args.n, seed=args.seed)
-    write_score_matrix(generate(model), args.output)
     meta = dict(model.metadata())
-    meta["matrix_sha256"] = _sha256(args.output)
+    meta["matrix_sha256"] = write_score_matrix(generate(model), args.output)
     _dump(_envelope(args, meta), args.output + ".meta.json")
 
 

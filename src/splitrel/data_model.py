@@ -25,6 +25,7 @@ in place as (cell, separator) byte pairs, a block of rows at a time.
 from __future__ import annotations
 
 import csv
+import hashlib
 import io
 import math
 import mmap
@@ -52,21 +53,17 @@ __all__ = [
 _BLOCK_CELLS = 1 << 16
 
 
-def _frozen_int_array(values, dtype=np.int64):
-    arr = np.asarray(values, dtype=dtype)
-    arr = arr.copy()
-    arr.setflags(write=False)
-    return arr
-
-
-def _set_totals(scores, noun: str) -> None:
-    """Validate ``scores.totals`` and replace it by a frozen int64 copy."""
-    totals = np.asarray(scores.totals)
+def _totals(values, noun: str) -> np.ndarray:
+    """``values`` as one frozen int64 copy, if it is a nonempty
+    1-dimensional vector of nonnegative integers."""
+    totals = np.asarray(values)
     if totals.ndim != 1 or totals.size < 1:
-        raise ShapeError(f"{noun} totals must be a nonempty 1-dimensional vector")
+        raise ShapeError(f"{noun} must be a nonempty 1-dimensional vector")
     if not np.issubdtype(totals.dtype, np.integer) or (totals < 0).any():
-        raise DomainViolation(f"{noun} totals must be nonnegative integers")
-    object.__setattr__(scores, "totals", _frozen_int_array(totals))
+        raise DomainViolation(f"{noun} must be nonnegative integers")
+    totals = totals.astype(np.int64)
+    totals.setflags(write=False)
+    return totals
 
 
 def _is_binary(entries: np.ndarray) -> bool:
@@ -133,7 +130,7 @@ class ItemScores:
     totals: np.ndarray
 
     def __post_init__(self):
-        _set_totals(self, "item")
+        object.__setattr__(self, "totals", _totals(self.totals, "item totals"))
 
     @property
     def n_items(self) -> int:
@@ -151,7 +148,7 @@ class ExamineeScores:
     totals: np.ndarray
 
     def __post_init__(self):
-        _set_totals(self, "examinee")
+        object.__setattr__(self, "totals", _totals(self.totals, "examinee totals"))
 
     @property
     def n_examinees(self) -> int:
@@ -375,9 +372,10 @@ def load_score_matrix(source, *, has_header: bool = False) -> ScoreMatrix:
             data.close()
 
 
-def write_score_matrix(m: ScoreMatrix, dest) -> None:
+def write_score_matrix(m: ScoreMatrix, dest) -> str:
     """Serialize a ScoreMatrix as ``c,c,...,c\\n`` rows (no header) to a
-    path or a text handle; ``load_score_matrix`` reads it back."""
+    path or a text handle; ``load_score_matrix`` reads it back.  Returns
+    the sha256 hex digest of the bytes written."""
     n_examinees, n_items = m.entries.shape
     body = np.empty((n_examinees, 2 * n_items), dtype=np.uint8)
     body[:, 0::2] = m.entries + ord("0")
@@ -388,6 +386,7 @@ def write_score_matrix(m: ScoreMatrix, dest) -> None:
             fh.write(body)
     else:
         dest.write(body.tobytes().decode("ascii"))
+    return hashlib.sha256(body).hexdigest()
 
 
 def item_totals(m: ScoreMatrix) -> ItemScores:

@@ -20,7 +20,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .data_model import ScoreMatrix, TestStats, _frozen_int_array
+from .data_model import ScoreMatrix, TestStats, _totals
 from .errors import CrossCheckFailed, RangeError, ShapeError, TooSmall, ZeroVariance
 from .splitter import Assignment
 
@@ -55,17 +55,13 @@ class SubTestScores:
     h: np.ndarray
 
     def __post_init__(self) -> None:
-        g = np.asarray(self.g)
-        h = np.asarray(self.h)
-        if g.ndim != 1 or h.ndim != 1 or g.size != h.size:
+        g, h = np.asarray(self.g), np.asarray(self.h)
+        if g.ndim != 1 or g.shape != h.shape:
             raise ShapeError("sub-test score vectors must be 1-dimensional and aligned")
         if g.size < 2:
             raise TooSmall(f"need at least 2 examinees, got {g.size}")
-        for name, v in (("g", g), ("h", h)):
-            if not np.issubdtype(v.dtype, np.integer) or (v < 0).any():
-                raise ShapeError(f"sub-test {name} scores must be nonnegative integers")
-        object.__setattr__(self, "g", _frozen_int_array(g))
-        object.__setattr__(self, "h", _frozen_int_array(h))
+        object.__setattr__(self, "g", _totals(g, "sub-test g scores"))
+        object.__setattr__(self, "h", _totals(h, "sub-test h scores"))
 
     @property
     def n_examinees(self) -> int:
@@ -141,17 +137,20 @@ def _moments(s: SubTestScores) -> tuple[int, int, int, int, int]:
     return int(g.sum()), int(h.sum()), int(np.dot(g, g)), int(np.dot(h, h)), int(np.dot(g, h))
 
 
+def _half_comoments(s: SubTestScores) -> tuple[int, int, int]:
+    """N^2 var_g, N^2 var_h and N^2 cov(g, h), exact, from ``_moments``."""
+    n = s.n_examinees
+    sum_g, sum_h, sq_g, sq_h, cross = _moments(s)
+    return n * sq_g - sum_g * sum_g, n * sq_h - sum_h * sum_h, n * cross - sum_g * sum_h
+
+
 def split_half_correlation(s: SubTestScores) -> float:
     """Pearson correlation between the half scores; NaN if either half
     has zero variance.  r_gh^2 is a ratio of exact integers rounded
     once, so r_gh, its signed square root, is within 1 ulp."""
-    n = s.n_examinees
-    sum_g, sum_h, sq_g, sq_h, cross = _moments(s)
-    var_g = n * sq_g - sum_g * sum_g
-    var_h = n * sq_h - sum_h * sum_h
+    var_g, var_h, cov = _half_comoments(s)
     if var_g == 0 or var_h == 0:
         return float("nan")
-    cov = n * cross - sum_g * sum_h
     return math.copysign(math.sqrt(cov * cov / (var_g * var_h)), cov)
 
 
@@ -167,9 +166,7 @@ def f_test_equal_variance(s: SubTestScores) -> tuple[float, float]:
     n = s.n_examinees
     if n < 3:
         raise TooSmall(f"F-test needs at least 3 examinees, got {n}")
-    sum_g, sum_h, sq_g, sq_h, _ = _moments(s)
-    var_g = n * sq_g - sum_g * sum_g
-    var_h = n * sq_h - sum_h * sum_h
+    var_g, var_h, _ = _half_comoments(s)
     lo = min(var_g, var_h)
     if lo == 0:
         raise ZeroVariance("a sub-test has zero score variance, F-test undefined")

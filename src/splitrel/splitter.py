@@ -144,24 +144,21 @@ class SplitResult:
         }
 
 
-def _check_cover(a: Assignment, n: int) -> None:
-    used = set(a.g_items) | set(a.h_items)
-    if a.dropped_item is not None:
-        used.add(a.dropped_item)
-    if used != set(range(n)):
+def _start(a: Assignment, tau: ItemScores, max_iter: int | None) -> tuple:
+    """Item scores, iteration limit (default ``10 * n``) and mutable g and
+    h item lists of a refinement run.  Raises ShapeError unless ``a``
+    places each item of ``tau`` exactly once."""
+    scores = tau.as_ints()
+    n = len(scores)
+    if {*a.g_items, *a.h_items, a.dropped_item} - {None} != set(range(n)):
         raise ShapeError(f"assignment must place every one of the {n} items exactly once")
-
-
-def _resolve_max_iter(max_iter: int | None, n: int) -> int:
-    if max_iter is None:
-        return 10 * n
     try:
-        max_iter = operator.index(max_iter)
+        limit = operator.index(10 * n if max_iter is None else max_iter)
     except TypeError:
         raise RangeError(f"max_iter must be an integer, got {max_iter!r}") from None
-    if max_iter < 0:
-        raise RangeError(f"max_iter must be nonnegative, got {max_iter}")
-    return max_iter
+    if limit < 0:
+        raise RangeError(f"max_iter must be nonnegative, got {limit}")
+    return scores, limit, list(a.g_items), list(a.h_items)
 
 
 def seed_allocation(tau: ItemScores) -> Assignment:
@@ -219,13 +216,7 @@ def swap_refine(
     """
     if policy not in ("single", "all"):
         raise RangeError(f"unknown swap policy {policy!r}")
-    scores = tau.as_ints()
-    n = len(scores)
-    _check_cover(a, n)
-    limit = _resolve_max_iter(max_iter, n)
-
-    g = list(a.g_items)
-    h = list(a.h_items)
+    scores, limit, g, h = _start(a, tau, max_iter)
     m = len(g)
     diffs = [scores[gi] - scores[hi] for gi, hi in zip(g, h)]
     s = sum(diffs)
@@ -284,13 +275,7 @@ def product_refine(
     ties broken by lowest (g-row, h-row).  Stops when the product hits 0,
     when a full sweep finds no reduction, or at ``max_iter``.
     """
-    scores = tau.as_ints()
-    n = len(scores)
-    _check_cover(a, n)
-    limit = _resolve_max_iter(max_iter, n)
-
-    g = list(a.g_items)
-    h = list(a.h_items)
+    scores, limit, g, h = _start(a, tau, max_iter)
     m = len(g)
     gs = [scores[j] for j in g]
     hs = [scores[j] for j in h]

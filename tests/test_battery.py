@@ -144,6 +144,12 @@ def test_optimal_weights_singular_matrix():
         optimal_weights(d)
 
 
+def test_nonnegative_weights_singular_matrix():
+    d = CovMatrix([[1.0, 1.0], [1.0, 1.0]])
+    with pytest.raises(SingularMatrix, match=r"support \[0, 1\] is singular"):
+        nonnegative_weights(d)
+
+
 def test_optimal_weights_condition_warning():
     eps = 1e-14
     d = CovMatrix([[1.0, 1.0 - eps], [1.0 - eps, 1.0]])

@@ -423,6 +423,33 @@ def test_fifo_input_is_read_once(schema, matrix_csv, tmp_path):
     assert got["r_battery"] == expected["r_battery"]
 
 
+def test_simulate_into_a_fifo_ends(schema, tmp_path):
+    # the sidecar digest is taken from the bytes written: re-opening the
+    # FIFO to hash it would wait for a writer that never comes, so the run
+    # is bounded and a hang fails the test
+    fifo = tmp_path / "m.fifo"
+    os.mkfifo(fifo)
+    got = tmp_path / "got.csv"
+    copy = "import sys; open(sys.argv[2], 'wb').write(open(sys.argv[1], 'rb').read())"
+    reader = subprocess.Popen([sys.executable, "-c", copy, str(fifo), str(got)])
+    try:
+        out = subprocess.run(
+            [sys.executable, "-m", "splitrel.cli", "simulate", "--model", "D1", "--N", "50",
+             "--n", "6", "--seed", "1", "--output", str(fifo)],
+            env=CLI_ENV, capture_output=True, timeout=60,
+        )
+        assert reader.wait(timeout=60) == 0
+    finally:
+        reader.kill()
+        reader.wait()
+    assert out.returncode == 0, out.stderr
+    meta = json.loads((tmp_path / "m.fifo.meta.json").read_text())
+    jsonschema.validate(meta, schema)
+    assert meta["report"]["matrix_sha256"] == hashlib.sha256(got.read_bytes()).hexdigest()
+    m = splitrel.load_score_matrix(got)
+    assert m.n_examinees == 50 and m.n_items == 6
+
+
 def test_malformed_matrix_exits_one(tmp_path):
     p = tmp_path / "bad.csv"
     p.write_text("1,0\n0,2\n")

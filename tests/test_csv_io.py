@@ -12,6 +12,7 @@ bytes, text or a path.  ``write_score_matrix`` is compared byte for byte with a
 """
 
 import csv
+import hashlib
 import io
 import mmap
 import os
@@ -262,9 +263,10 @@ def test_canonical_files_take_the_byte_block_path(m, header, final_newline):
 @given(matrices())
 def test_writer_matches_csv_writer_and_round_trips(m):
     out = io.StringIO()
-    write_score_matrix(m, out)
+    digest = write_score_matrix(m, out)
     text = out.getvalue()
     assert text == reference_write(m, False)
+    assert digest == hashlib.sha256(text.encode("ascii")).hexdigest()
     back = load_score_matrix(io.StringIO(text))
     assert np.array_equal(back.entries, m.entries)
     assert back.item_ids is None
@@ -275,8 +277,9 @@ def test_writer_to_path_matches_reference_bytes(tmp_path):
     ids = [f"qé{j}" for j in range(8)] + ['say "hi"']
     m = ScoreMatrix((rng.random((30, 9)) < 0.5).astype(int), item_ids=ids)
     path = tmp_path / "m.csv"
-    write_score_matrix(m, path)
+    digest = write_score_matrix(m, path)
     assert path.read_bytes() == reference_write(m, False).encode("utf-8")
+    assert digest == hashlib.sha256(path.read_bytes()).hexdigest()
     back = load_score_matrix(path)
     assert np.array_equal(back.entries, m.entries) and back.item_ids is None
 

@@ -19,6 +19,7 @@ from scipy import integrate, special
 
 from splitrel import (
     Assignment,
+    DomainViolation,
     ExamineeScores,
     RangeError,
     ScoreMatrix,
@@ -119,6 +120,22 @@ def test_half_scores_do_not_depend_on_the_blas_thread_count():
         for threads in (env, {**env, "OPENBLAS_NUM_THREADS": "1"})
     ]
     assert digests[0] == digests[1] and len(digests[0].strip()) == 64
+
+
+@pytest.mark.parametrize(
+    "g, h, error",
+    [
+        ([[1, 2], [3, 4]], [[1, 2], [3, 4]], ShapeError),  # a 2-D half
+        ([1, 2, 3], [1, 2], ShapeError),  # halves of different lengths
+        ([1, -2, 3], [1, 2, 3], DomainViolation),  # a negative score
+        ([1, 2, 3], [1.0, 2.0, 3.0], DomainViolation),  # a float half
+        ([], [], TooSmall),
+        ([1], [2], TooSmall),
+    ],
+)
+def test_sub_test_scores_rejections(g, h, error):
+    with pytest.raises(error):
+        SubTestScores(g=g, h=h)
 
 
 def test_error_variance_is_exact_mean_squared_gap():
