@@ -485,9 +485,14 @@ def _cmd_battery(args: argparse.Namespace) -> None:
 def _cmd_simulate(args: argparse.Namespace) -> None:
     _bind("simulate")
     model = SimModel(kind=args.model, N=args.N, n=args.n, seed=args.seed)
-    meta = dict(model.metadata())
-    meta["matrix_sha256"] = write_score_matrix(generate(model), args.output)
-    _dump(_envelope(args, meta), args.output + ".meta.json")
+    sidecar = args.output + ".meta.json"
+    open(sidecar, "w").close()  # made first, so failing here leaves --output unwritten
+    try:
+        digest = write_score_matrix(generate(model), args.output)
+    except BaseException:
+        os.unlink(sidecar)
+        raise
+    _dump(_envelope(args, {**model.metadata(), "matrix_sha256": digest}), sidecar)
 
 
 def _seed(text: str) -> int:

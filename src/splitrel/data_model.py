@@ -45,7 +45,6 @@ __all__ = [
     "load_score_matrix",
     "write_score_matrix",
     "item_totals",
-    "examinee_totals",
     "descriptive_stats",
 ]
 
@@ -84,12 +83,10 @@ class ScoreMatrix:
     """Immutable N x n matrix of binary item responses.
 
     ``entries[i, j]`` is examinee i's score on item j, either 0 or 1.
-    Examinees are known by their row positions.  The optional
-    ``item_ids`` label the columns; when present there is one per item.
+    Examinees are known by their row positions, items by their columns.
     """
 
     entries: np.ndarray
-    item_ids: tuple[str, ...] | None = None
 
     def __post_init__(self):
         entries = np.asarray(self.entries)
@@ -108,11 +105,6 @@ class ScoreMatrix:
         frozen = entries.astype(np.int8, copy=True)
         frozen.setflags(write=False)
         object.__setattr__(self, "entries", frozen)
-        if self.item_ids is not None:
-            ids = tuple(str(v) for v in self.item_ids)
-            if len(ids) != n_items:
-                raise ShapeError(f"item_ids has {len(ids)} labels for {n_items} rows/columns")
-            object.__setattr__(self, "item_ids", ids)
 
     @property
     def n_examinees(self) -> int:
@@ -131,10 +123,6 @@ class ItemScores:
 
     def __post_init__(self):
         object.__setattr__(self, "totals", _totals(self.totals, "item totals"))
-
-    @property
-    def n_items(self) -> int:
-        return self.totals.size
 
     def as_ints(self) -> list[int]:
         """Totals as plain Python integers, for exact arithmetic."""
@@ -196,22 +184,21 @@ class RowBlock:
         return [dict(zip(self.fields, values)) for values in rows]
 
 
-def _read(source) -> bytes | str | mmap.mmap:
-    """The bytes of a path, bytes or file-like source.
+def _read(source) -> bytes | mmap.mmap:
+    """The bytes of ``source``: bytes as given, or the file at a path.
 
     A non-empty regular file comes back as a read-only memory map, which
-    the caller closes; anything else (an empty file, a FIFO, a ``/proc``
-    file reporting size 0, bytes, a handle) as bytes or str.
+    the caller closes; any other (empty, a FIFO, a ``/proc`` file of size
+    0) as bytes.  ``os.fspath`` refuses any other source with a TypeError,
+    so a handle is never read, nor an int taken for a file descriptor.
     """
-    if isinstance(source, (str, os.PathLike)):
-        with open(source, "rb") as fh:
-            info = os.fstat(fh.fileno())
-            if stat.S_ISREG(info.st_mode) and info.st_size > 0:
-                return mmap.mmap(fh.fileno(), 0, access=mmap.ACCESS_READ)
-            return fh.read()
     if isinstance(source, bytes):
         return source
-    return source.read()
+    with open(os.fspath(source), "rb") as fh:
+        info = os.fstat(fh.fileno())
+        if stat.S_ISREG(info.st_mode) and info.st_size > 0:
+            return mmap.mmap(fh.fileno(), 0, access=mmap.ACCESS_READ)
+        return fh.read()
 
 
 def _parse_pairs(
@@ -253,8 +240,7 @@ def _load_canonical(data: bytes | mmap.mmap, has_header: bool) -> ScoreMatrix | 
     cells, a blank or quoted header, too few rows or columns), which the
     csv reader then parses or rejects.
     """
-    item_ids = None
-    offset = 0
+    n_labels = offset = 0
     if has_header:
         end = data.find(b"\n")
         line = data[:end]
@@ -263,12 +249,12 @@ def _load_canonical(data: bytes | mmap.mmap, has_header: bool) -> ScoreMatrix | 
         if end < 0 or any(b in line for b in (b'"', b"\r", b"\0")):
             return None
         try:
-            ids = tuple(cell.strip() for cell in line.decode("utf-8").split(","))
+            labels = line.decode("utf-8").split(",")
         except UnicodeDecodeError:
             return None
-        if all(cell == "" for cell in ids):
+        if all(cell.strip() == "" for cell in labels):
             return None
-        item_ids = ids
+        n_labels = len(labels)
         offset = end + 1
     if data[-1:] != b"\n":
         data = bytes(data[offset:]) + b"\n"
@@ -278,10 +264,10 @@ def _load_canonical(data: bytes | mmap.mmap, has_header: bool) -> ScoreMatrix | 
     n_items = row_bytes // 2
     if n_items < 2 or row_bytes % 2 or body_bytes % row_bytes or body_bytes < 2 * row_bytes:
         return None
-    if item_ids is not None and len(item_ids) != n_items:
+    if has_header and n_labels != n_items:
         return None
     cells = _parse_pairs(data, offset, body_bytes // row_bytes, n_items)
-    return None if cells is None else ScoreMatrix(entries=cells, item_ids=item_ids)
+    return None if cells is None else ScoreMatrix(entries=cells)
 
 
 def _records(reader):
@@ -295,25 +281,24 @@ def _records(reader):
         raise DomainViolation(f"unreadable CSV at line {reader.line_num}: {reason}") from None
 
 
-def _load_with_csv(data: bytes | str, has_header: bool) -> ScoreMatrix:
+def _load_with_csv(data: bytes, has_header: bool) -> ScoreMatrix:
     """The csv-module parser: every input it accepts, every error message."""
-    if isinstance(data, bytes):
-        try:
-            data = data.decode("utf-8")
-        except UnicodeDecodeError as exc:
-            raise DomainViolation(
-                f"input is not valid UTF-8: byte 0x{data[exc.start]:02x} at offset {exc.start}"
-            ) from None
-    reader = csv.reader(io.StringIO(data))
-    item_ids = None
+    try:
+        text = data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise DomainViolation(
+            f"input is not valid UTF-8: byte 0x{data[exc.start]:02x} at offset {exc.start}"
+        ) from None
+    reader = csv.reader(io.StringIO(text))
+    n_labels = None
     rows: list[list[int]] = []
     width = None
     data_row = 0
     for record in _records(reader):
         if not record or all(cell.strip() == "" for cell in record):
             continue
-        if has_header and item_ids is None and not rows:
-            item_ids = tuple(cell.strip() for cell in record)
+        if has_header and n_labels is None:
+            n_labels = len(record)
             continue
         data_row += 1
         if width is None:
@@ -336,22 +321,22 @@ def _load_with_csv(data: bytes | str, has_header: bool) -> ScoreMatrix:
         raise TooSmall(
             f"need at least 2 examinees and 2 items, got {len(rows)} x {width or 0}"
         )
-    if item_ids is not None and len(item_ids) != width:
-        raise ShapeError(f"header has {len(item_ids)} labels for {width} columns")
-    return ScoreMatrix(entries=np.array(rows, dtype=np.int8), item_ids=item_ids)
+    if n_labels is not None and n_labels != width:
+        raise ShapeError(f"header has {n_labels} labels for {width} columns")
+    return ScoreMatrix(entries=np.array(rows, dtype=np.int8))
 
 
 def load_score_matrix(source, *, has_header: bool = False) -> ScoreMatrix:
     """Parse a comma-separated UTF-8 table of 0/1 cells into a ScoreMatrix.
 
-    ``source`` may be a path, bytes, or a file-like object.  Each row is
-    one examinee, each column one item; with ``has_header`` the first
-    row labels the items.  Cells must be exactly "0" or "1" after
-    whitespace trimming; anything else (including blanks) is a
-    DomainViolation naming the 1-based row and column, and so is input
-    that is not valid UTF-8 or that the csv module cannot read (a lone
-    carriage return in a cell).  Ragged rows are a ShapeError.  Fewer than
-    2 rows or columns is TooSmall.
+    ``source`` is a path (``str`` or ``os.PathLike``) or the file's bytes.
+    Each row is one examinee, each column one item; with ``has_header``
+    a first row of item labels is checked (one per column) and skipped.
+    Cells must be exactly "0" or "1" after whitespace trimming; anything
+    else (including blanks) is a DomainViolation naming the 1-based row
+    and column, and so is input that is not valid UTF-8 or that the csv
+    module cannot read (a lone carriage return in a cell).  Ragged rows
+    are a ShapeError.  Fewer than 2 rows or columns is TooSmall.
 
     A non-empty regular file is memory-mapped read-only and the map is
     closed before return; a file truncated while it is read can end the
@@ -362,41 +347,32 @@ def load_score_matrix(source, *, has_header: bool = False) -> ScoreMatrix:
     """
     data = _read(source)
     try:
-        raw = data.encode("utf-8", "surrogatepass") if isinstance(data, str) else data
-        m = _load_canonical(raw, has_header)
+        m = _load_canonical(data, has_header)
         if m is not None:
             return m
-        return _load_with_csv(bytes(data) if isinstance(data, mmap.mmap) else data, has_header)
+        return _load_with_csv(bytes(data), has_header)
     finally:
         if isinstance(data, mmap.mmap):
             data.close()
 
 
 def write_score_matrix(m: ScoreMatrix, dest) -> str:
-    """Serialize a ScoreMatrix as ``c,c,...,c\\n`` rows (no header) to a
-    path or a text handle; ``load_score_matrix`` reads it back.  Returns
-    the sha256 hex digest of the bytes written."""
+    """Serialize a ScoreMatrix as ``c,c,...,c\\n`` rows (no header) to the
+    path ``dest``; ``load_score_matrix`` reads it back.  Returns the
+    sha256 hex digest of the bytes written."""
     n_examinees, n_items = m.entries.shape
     body = np.empty((n_examinees, 2 * n_items), dtype=np.uint8)
     body[:, 0::2] = m.entries + ord("0")
     body[:, 1::2] = ord(",")
     body[:, -1] = ord("\n")
-    if isinstance(dest, (str, os.PathLike)):
-        with open(dest, "wb") as fh:
-            fh.write(body)
-    else:
-        dest.write(body.tobytes().decode("ascii"))
+    with open(os.fspath(dest), "wb") as fh:
+        fh.write(body)
     return hashlib.sha256(body).hexdigest()
 
 
 def item_totals(m: ScoreMatrix) -> ItemScores:
     """Column sums: totals[j] = number of examinees who got item j right."""
     return ItemScores(m.entries.sum(axis=0, dtype=np.int64))
-
-
-def examinee_totals(m: ScoreMatrix) -> ExamineeScores:
-    """Row sums: totals[i] = number of items examinee i got right."""
-    return ExamineeScores(m.entries.sum(axis=1, dtype=np.int64))
 
 
 def descriptive_stats(x: ExamineeScores, n: int) -> TestStats:

@@ -7,6 +7,7 @@ import inspect
 import io
 import json
 import os
+import re
 import subprocess
 import sys
 from contextlib import redirect_stderr, redirect_stdout
@@ -450,6 +451,35 @@ def test_simulate_into_a_fifo_ends(schema, tmp_path):
     assert m.n_examinees == 50 and m.n_items == 6
 
 
+@pytest.mark.skipif(not os.path.isdir("/dev/fd"), reason="needs /dev/fd")
+def test_simulate_writes_no_matrix_when_its_sidecar_cannot_be_made():
+    # /dev/fd/N.meta.json cannot be created, and that ends the run before
+    # the first matrix byte: a reader gets no matrix from a failed run
+    read_end, write_end = os.pipe()
+    with os.fdopen(read_end, "rb") as reader:
+        try:
+            out = subprocess.run(
+                [sys.executable, "-m", "splitrel.cli", "simulate", "--model", "D1", "--N", "50",
+                 "--n", "6", "--seed", "1", "--output", f"/dev/fd/{write_end}"],
+                env=CLI_ENV, capture_output=True, text=True, timeout=60, pass_fds=(write_end,),
+            )
+        finally:
+            os.close(write_end)
+        got = reader.read()
+    assert out.returncode == 1
+    assert re.fullmatch(r"error\[\w+\]: [^\n]*\n", out.stderr), out.stderr
+    assert got == b""
+
+
+def test_simulate_removes_its_sidecar_when_the_matrix_write_fails(tmp_path):
+    matrix = tmp_path / "m.csv"
+    matrix.mkdir()
+    code, _, err = run_cli("simulate", "--model", "D1", "--N", "50", "--n", "6", "--seed", "1",
+                           "--output", str(matrix))
+    assert code == 1 and err.startswith("error[IsADirectoryError]: ")
+    assert not (tmp_path / "m.csv.meta.json").exists()
+
+
 def test_malformed_matrix_exits_one(tmp_path):
     p = tmp_path / "bad.csv"
     p.write_text("1,0\n0,2\n")
@@ -522,14 +552,15 @@ def test_version_flag():
 # left the API when the tables became their columns, and less the four
 # names only tests called (the exhaustive split, its error, and the two
 # variance helpers), whose checks moved onto exact oracles and report
-# fields, and less mean_from_norms, whose identity is now a property test
+# fields, less mean_from_norms, whose identity is now a property test,
+# and less examinee_totals, which nothing in the program called
 PUBLIC_API = {
     "__version__",
     "ToolkitError", "DomainViolation", "ShapeError", "TooSmall",
     "RangeError", "DegeneracyError", "ZeroVariance", "SingularMatrix", "Degenerate",
     "CrossCheckFailed",
     "ScoreMatrix", "ItemScores", "ExamineeScores", "TestStats", "load_score_matrix",
-    "write_score_matrix", "item_totals", "examinee_totals", "descriptive_stats",
+    "write_score_matrix", "item_totals", "descriptive_stats",
     "Assignment", "SplitResult", "seed_allocation", "swap_refine", "product_refine",
     "split",
     "SubTestScores", "ReliabilityReport", "TrueScoreGeometry", "sub_test_scores",
@@ -578,7 +609,7 @@ ENTRY_POINT_PARAMETERS = {
     "generate": (("model",), set()),
     "estimate_true_scores": (("x", "stats", "r", "kind"), set()),
     "compare_estimators": (("x", "stats", "r_tt", "r_gh"), set()),
-    "ScoreMatrix": (("entries", "item_ids"), {"item_ids"}),
+    "ScoreMatrix": (("entries",), set()),
 }
 
 

@@ -4,6 +4,7 @@ person-space identities."""
 import dataclasses
 import io
 import math
+import os
 
 import numpy as np
 import pytest
@@ -18,7 +19,6 @@ from splitrel import (
     TestStats,
     TooSmall,
     descriptive_stats,
-    examinee_totals,
     item_totals,
     load_score_matrix,
     true_score_geometry,
@@ -31,7 +31,6 @@ MAT = [[1, 0, 1], [0, 0, 1], [1, 1, 1], [0, 0, 0]]
 def test_matrix_totals_match_hand_counts():
     m = ScoreMatrix(MAT)
     assert item_totals(m).as_ints() == [2, 1, 3]
-    assert list(examinee_totals(m).totals) == [2, 1, 3, 0]
     assert m.n_examinees == 4
     assert m.n_items == 3
 
@@ -82,42 +81,58 @@ def test_matrix_rejects_wrong_shapes():
         ScoreMatrix([[1], [0]])
 
 
-def test_matrix_label_validation():
-    m = ScoreMatrix(MAT, item_ids=[1, 2, 3])
-    assert m.item_ids == ("1", "2", "3")
-    with pytest.raises(ShapeError, match="item_ids has 1 labels for 3 rows/columns"):
-        ScoreMatrix(MAT, item_ids=["a"])
-
-
 def test_item_scores_validation():
     with pytest.raises(DomainViolation):
         ItemScores([3, -1])
     with pytest.raises(ShapeError):
         ItemScores([[1, 2]])
-    assert ItemScores([5, 0, 7]).n_items == 3
+    assert ItemScores([5, 0, 7]).as_ints() == [5, 0, 7]
 
 
 def test_csv_round_trip(tmp_path):
-    m = ScoreMatrix(MAT, item_ids=["q1", "q2", "q3"])
+    m = ScoreMatrix(MAT)
     path = tmp_path / "scores.csv"
     write_score_matrix(m, path)
     assert path.read_text() == "1,0,1\n0,0,1\n1,1,1\n0,0,0\n"
     back = load_score_matrix(path)
     assert np.array_equal(back.entries, m.entries)
-    assert back.item_ids is None
+    # a header row is checked, one label per column, and skipped
+    body = path.read_text()
+    path.write_text("q1,q2,q3\n" + body)
+    assert np.array_equal(load_score_matrix(path, has_header=True).entries, m.entries)
+    path.write_text("q1,q2\n" + body)
+    with pytest.raises(ShapeError, match="^header has 2 labels for 3 columns$"):
+        load_score_matrix(path, has_header=True)
 
 
 def test_csv_load_reports_bad_cell_position():
-    text = "1,0\n0,7\n"
     with pytest.raises(DomainViolation) as err:
-        load_score_matrix(io.StringIO(text))
+        load_score_matrix(b"1,0\n0,7\n")
     msg = str(err.value)
     assert "row 2" in msg and "column 2" in msg
 
 
 def test_csv_load_rejects_ragged_rows():
     with pytest.raises(ShapeError):
-        load_score_matrix(io.StringIO("1,0\n1\n"))
+        load_score_matrix(b"1,0\n1\n")
+
+
+def test_sources_and_destinations_other_than_paths_or_bytes_are_type_errors(tmp_path):
+    with pytest.raises(TypeError):
+        load_score_matrix(io.StringIO("1,0\n0,1\n"))
+    # an int is not taken for a file descriptor: the file is left unread and open
+    path = tmp_path / "scores.csv"
+    path.write_bytes(b"1,0\n0,1\n")
+    fd = os.open(path, os.O_RDONLY)
+    try:
+        with pytest.raises(TypeError):
+            load_score_matrix(fd)
+        assert os.lseek(fd, 0, os.SEEK_CUR) == 0
+        assert os.read(fd, 64) == b"1,0\n0,1\n"
+    finally:
+        os.close(fd)
+    with pytest.raises(TypeError):
+        write_score_matrix(ScoreMatrix(MAT), io.StringIO())
 
 
 def test_descriptive_stats_against_hand_values():

@@ -14,7 +14,6 @@ from splitrel import (
     ItemScores,
     RangeError,
     ScoreMatrix,
-    examinee_totals,
     item_totals,
     product_refine,
     seed_allocation,
