@@ -41,10 +41,12 @@ import numpy as np
 from ._version import __version__
 from .data_model import (
     ExamineeScores,
+    ListBlock,
     RowBlock,
     ScoreMatrix,
     TestStats,
     descriptive_stats,
+    distinct_rows,
     load_score_matrix,
     write_score_matrix,
 )
@@ -81,7 +83,7 @@ _WEIGHT_METHODS = ("optimal", "nonneg", "eigen-cov", "eigen-corr", "equal")
 _CHUNK_ROWS = 4096
 
 # values that ``_json`` writes as nested JSON rather than as one scalar
-_CONTAINERS = (dict, list, tuple, np.ndarray, RowBlock)
+_CONTAINERS = (dict, list, tuple, np.ndarray, RowBlock, ListBlock)
 
 # namespace entries that are not analysis parameters of the envelope
 _NOT_PARAMETERS = frozenset(
@@ -240,99 +242,108 @@ def _json_values(values: list) -> list[str]:
     ]
 
 
-def _json_column(column: np.ndarray) -> tuple[list[str], np.ndarray | None]:
-    """The JSON texts of a ``RowBlock`` column and the row codes into them.
+class _IntTexts:
+    """The JSON texts of 0, 1, 2, ... for one ``_dump``, rendered once as
+    far as its int arrays reach, so that the ids every table of a report
+    repeats are rendered once."""
 
-    A strictly increasing int array, such as ids, gives one text per row
-    and ``None``.  Any other float64, int or bool array (a float keyed on
-    its bits, so -0.0 stays apart from 0.0) gives its distinct texts and
-    each row's index into them, which is exact as ``_json_values``
-    renders each value on its own."""
-    if column.dtype.kind in "iu" and np.all(column[1:] > column[:-1]):
-        return list(map(int.__repr__, column.tolist())), None
-    keys = column.view(np.uint64) if column.dtype == np.float64 else column
-    distinct, inverse = np.unique(keys, return_inverse=True)
-    return _json_values(distinct.view(column.dtype).tolist()), inverse
+    def __init__(self) -> None:
+        self.texts = np.empty(0, dtype=object)
+
+    def of(self, values: np.ndarray) -> np.ndarray:
+        """The texts of a 1-dimensional int array, as an object array.  One
+        with a negative value, or reaching past both the texts rendered so
+        far and twice its length, is rendered value by value."""
+        top = int(values.max()) if values.size and values.min() >= 0 else -1
+        if top < 0 or top >= max(len(self.texts), 2 * values.size):
+            return np.array(list(map(int.__repr__, values.tolist())), dtype=object)
+        if top >= len(self.texts):
+            # past 999: the text of the thousands, then the last three digits
+            thousands = np.array(list(map(int.__repr__, range(top // 1000 + 1))), dtype=object)
+            digits = np.array([f"{i:03d}" for i in range(1000)], dtype=object)
+            self.texts = np.add.outer(thousands, digits).ravel()[: top + 1]
+            self.texts[:1000] = list(map(int.__repr__, range(min(top + 1, 1000))))
+        return self.texts[values]
 
 
-def _json_rows(block: RowBlock, indent: str) -> Iterator[str]:
+def _json_rows(block: RowBlock, indent: str, ints: _IntTexts) -> Iterator[str]:
     """The row dicts of ``block`` as JSON text, ``,\n`` + ``indent`` between
     rows, in chunks of ``_CHUNK_ROWS`` rows.
 
-    A row is a few segments: one per column of one text per row, and one
-    per run of consecutive coded columns, whose distinct joint values are
-    rendered once.  The key pieces are inside the segment texts, a
-    per-row column's key in the coded segment before it where there is
-    one, and the row end is in the last segment's.  A chunk is one join
-    over the segments' texts of its rows."""
+    A strictly increasing int column, such as ids, has one text per row.
+    The other columns are coded together by ``distinct_rows``, and each
+    run of them between two such columns is one segment, rendered once
+    per code from the representative rows, with the key pieces and the
+    row end inside.  A chunk is one join over the segments' texts of its
+    rows."""
     n_rows = len(block.columns[0]) if block.columns else 0
     if not n_rows:
         return
     sep = f",\n{indent}"
-    segments: list[tuple[list[str], np.ndarray | None]] = []
     order = sorted(range(len(block.fields)), key=block.fields.__getitem__)
+    columns = block.columns
+    per_row = {k for k, c in enumerate(columns) if c.dtype.kind in "iu" and np.all(c[1:] > c[:-1])}
+    codes, reps = distinct_rows([columns[k] for k in order if k not in per_row], n_rows)
+    segments: list[tuple[np.ndarray, np.ndarray | None]] = []
+    texts = [""] * reps.size
     for j, k in enumerate(order):
         key = f"{',' if j else '{'}\n{indent}  {json.dumps(block.fields[k])}: "
-        texts, inverse = _json_column(block.columns[k])
-        prev_texts, prev_inverse = segments[-1] if segments else ([], None)
-        if prev_inverse is None:
-            segments.append(([key + text for text in texts], inverse))
-        elif inverse is None:
-            # the coded segment before takes the key, joined once per distinct text
-            segments[-1] = ([text + key for text in prev_texts], prev_inverse)
-            segments.append((texts, None))
+        if k in per_row:
+            segments.append((np.array([text + key for text in texts], dtype=object), codes))
+            segments.append((ints.of(columns[k]), None))
+            texts = [""] * reps.size
         else:
-            joint, inverse = np.unique(prev_inverse * len(texts) + inverse, return_inverse=True)
-            pairs = (divmod(code, len(texts)) for code in joint.tolist())
-            segments[-1] = ([prev_texts[p] + key + texts[t] for p, t in pairs], inverse)
-    texts, inverse = segments[-1]
-    segments[-1] = ([f"{text}\n{indent}}}{sep}" for text in texts], inverse)
-    pieces = [(np.array(texts, dtype=object), inverse) for texts, inverse in segments]
+            values = _json_values(columns[k][reps].tolist())
+            texts = [text + key + value for text, value in zip(texts, values)]
+    segments.append((np.array([f"{text}\n{indent}}}{sep}" for text in texts], dtype=object), codes))
     for start in range(0, n_rows, _CHUNK_ROWS):
         rows = slice(start, min(start + _CHUNK_ROWS, n_rows))
-        cells = np.empty((rows.stop - start, len(pieces)), dtype=object)
-        for s, (texts, inverse) in enumerate(pieces):
-            cells[:, s] = texts[rows] if inverse is None else texts[inverse[rows]]
+        cells = np.empty((rows.stop - start, len(segments)), dtype=object)
+        for s, (pieces, index) in enumerate(segments):
+            cells[:, s] = pieces[rows] if index is None else pieces[index[rows]]
         if rows.stop == n_rows:
             cells[-1, -1] = cells[-1, -1][: -len(sep)]
         yield "".join(cells.ravel().tolist())
 
 
-def _json(obj, indent: str) -> Iterator[str]:
+def _json(obj, indent: str, ints: _IntTexts) -> Iterator[str]:
     """The text ``json.dumps(obj, indent=2, sort_keys=True)`` writes for
     ``obj`` on a line indented by ``indent``, in pieces: dict keys as
     ``str(k)``, numpy scalars as Python ones, NaN and inf as ``null``.  A
-    list of scalars is one piece, and a ``RowBlock`` (as its row dicts)
-    one piece per chunk of rows."""
-    if isinstance(obj, np.ndarray):
+    list of scalars or a 1-dimensional int array is one piece, and a
+    ``RowBlock`` (as its row dicts) one piece per chunk of rows."""
+    if isinstance(obj, ListBlock):
+        obj = obj.arrays
+    if isinstance(obj, np.ndarray) and not (obj.ndim == 1 and obj.dtype.kind in "iu"):
         obj = obj.tolist()
     inner = indent + "  "
     if isinstance(obj, dict):
         items = {str(k): v for k, v in obj.items()}
         for n, key in enumerate(sorted(items)):
             yield f"{',' if n else '{'}\n{inner}{json.dumps(key)}: "
-            yield from _json(items[key], inner)
+            yield from _json(items[key], inner, ints)
         yield f"\n{indent}}}" if items else "{}"
-    elif not isinstance(obj, (list, tuple, RowBlock)):
+    elif not isinstance(obj, (list, tuple, RowBlock, np.ndarray)):
         yield _json_values([obj])[0]
-    elif isinstance(obj, RowBlock) or not any(
+    elif isinstance(obj, (RowBlock, np.ndarray)) or not any(
         issubclass(kind, _CONTAINERS) for kind in set(map(type, obj))
     ):
         if isinstance(obj, RowBlock):
-            chunks = _json_rows(obj, inner)
+            chunks = _json_rows(obj, inner, ints)
         else:
-            chunks = iter([f",\n{inner}".join(_json_values(obj))])
+            texts = ints.of(obj).tolist() if isinstance(obj, np.ndarray) else _json_values(obj)
+            chunks = iter([f",\n{inner}".join(texts)])
         first = next(chunks, "")
         yield from chain([f"[\n{inner}", first], chunks, [f"\n{indent}]"]) if first else ["[]"]
     else:
         for n, value in enumerate(obj):
             yield f"{',' if n else '['}\n{inner}"
-            yield from _json(value, inner)
+            yield from _json(value, inner, ints)
         yield f"\n{indent}]"
 
 
 def _dump(envelope: dict, output: str | None) -> None:
-    _emit(chain(_json(envelope, ""), ["\n"]), output)
+    _emit(chain(_json(envelope, "", _IntTexts()), ["\n"]), output)
 
 
 def load_schema() -> dict:

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import NamedTuple
 
 import numpy as np
@@ -70,6 +71,14 @@ class SubTestScores:
     def combined(self) -> np.ndarray:
         """Total score on the reduced test: X_i = X_i^(g) + X_i^(h)."""
         return self.g + self.h
+
+    @cached_property
+    def _moments(self) -> tuple[int, int, int, int, int]:
+        """Sum g, sum h, ||X_g||^2, ||X_h||^2 and <X_g, X_h> as exact Python
+        ints, once per instance; int64 sums do not go through BLAS, so no
+        thread count changes them."""
+        g, h = self.g, self.h
+        return int(g.sum()), int(h.sum()), int(np.dot(g, g)), int(np.dot(h, h)), int(np.dot(g, h))
 
 
 def sub_test_scores(m: ScoreMatrix, a: Assignment) -> SubTestScores:
@@ -130,17 +139,10 @@ class ReliabilityReport:
         return {**vars(self), "warnings": list(self.warnings)}
 
 
-def _moments(s: SubTestScores) -> tuple[int, int, int, int, int]:
-    """Sum g, sum h, ||X_g||^2, ||X_h||^2 and <X_g, X_h> as exact Python ints;
-    int64 sums do not go through BLAS, so no thread count changes them."""
-    g, h = s.g, s.h
-    return int(g.sum()), int(h.sum()), int(np.dot(g, g)), int(np.dot(h, h)), int(np.dot(g, h))
-
-
 def _half_comoments(s: SubTestScores) -> tuple[int, int, int]:
-    """N^2 var_g, N^2 var_h and N^2 cov(g, h), exact, from ``_moments``."""
+    """N^2 var_g, N^2 var_h and N^2 cov(g, h), exact, from the moments."""
     n = s.n_examinees
-    sum_g, sum_h, sq_g, sq_h, cross = _moments(s)
+    sum_g, sum_h, sq_g, sq_h, cross = s._moments
     return n * sq_g - sum_g * sum_g, n * sq_h - sum_h * sum_h, n * cross - sum_g * sum_h
 
 
@@ -271,7 +273,7 @@ def classical_reliability(s: SubTestScores, stats: TestStats) -> ReliabilityRepo
         raise ShapeError(
             f"stats describe {stats.N} examinees but sub-tests have {n}"
         )
-    sum_g, sum_h, sq_g, sq_h, cross = _moments(s)
+    sum_g, sum_h, sq_g, sq_h, cross = s._moments
     total = sum_g + sum_h
     v = n * (sq_g + sq_h + 2 * cross) - total * total
     if v == 0:

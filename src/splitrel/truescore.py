@@ -27,7 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data_model import ExamineeScores, RowBlock, TestStats
+from .data_model import ExamineeScores, ListBlock, RowBlock, TestStats, distinct_rows
 from .errors import RangeError, ShapeError, ZeroVariance
 
 __all__ = [
@@ -98,31 +98,43 @@ class TrueScoreTable(_ColumnTable):
             raise RangeError(f"unknown reliability kind {self.reliability_kind!r}")
         super().__post_init__()
 
+    def _bins(self) -> ListBlock:
+        keys = np.floor(self.estimate)
+        order = np.argsort(keys, kind="stable")
+        bin_keys, starts = np.unique(keys[order], return_index=True)
+        ids = np.split(self.examinee_id[order], starts[1:])
+        return ListBlock({str(int(k)): v for k, v in zip(bin_keys.tolist(), ids)})
+
     def bin_lookup(self) -> dict[int, list]:
         """Which examinees land in each unit-width estimate bin [k, k+1).
 
         Bins are in ascending order of k and ids in row order within a bin.
         """
-        keys = np.floor(self.estimate)
-        order = np.argsort(keys, kind="stable")
-        bin_keys, starts = np.unique(keys[order], return_index=True)
-        ids = self.examinee_id[order].tolist()
-        starts = starts.tolist()
-        bounds = zip(starts, [*starts[1:], len(ids)])
-        return {int(k): ids[a:b] for k, (a, b) in zip(bin_keys.tolist(), bounds)}
+        return {int(k): ids for k, ids in self._bins().items()}
 
     def to_dict(self) -> dict:
-        bins = {str(k): ids for k, ids in self.bin_lookup().items()}
-        return {**super().to_dict(), "bins": bins}
+        return {**super().to_dict(), "bins": self._bins()}
 
     def to_csv(self) -> str:
-        """One CSV row per examinee, after a header of the column names."""
+        """One CSV row per examinee, after a header of the column names.
+
+        ``csv.writer`` writes the cells after the id once per distinct row
+        of the other columns; each line is the id's text and its row's.
+        """
         block = self._row_block()
+        ids, rest = block.columns[0], block.columns[1:]
+        codes, reps = distinct_rows(rest, ids.size)
         buf = io.StringIO()
         writer = csv.writer(buf)
         writer.writerow(block.fields)
-        writer.writerows(zip(*(column.tolist() for column in block.columns)))
-        return buf.getvalue()
+        # an empty first cell, so that each tail starts with the comma after the id
+        writer.writerows(zip([""] * reps.size, *(column[reps].tolist() for column in rest)))
+        # no name or number holds a line break, so each line is one row
+        header, *tails = buf.getvalue().splitlines(keepends=True)
+        lines = np.empty((ids.size, 2), dtype=object)
+        lines[:, 0] = list(map(str, ids.tolist()))
+        lines[:, 1] = np.array(tails, dtype=object)[codes]
+        return header + "".join(lines.ravel().tolist())
 
 
 def estimate_true_scores(

@@ -23,6 +23,7 @@ from hypothesis import strategies as st
 
 from splitrel import cli
 from splitrel.cli import _dump
+from splitrel.data_model import distinct_rows
 from splitrel.truescore import RowBlock
 
 from conftest import json_safe
@@ -148,3 +149,22 @@ def test_row_blocks_across_chunk_boundaries(n_rows):
 def test_keys_colliding_as_strings_keep_the_last_value():
     envelope = {1: "int", "1": "str", "rows": RowBlock(("a",), (np.array([]),))}
     assert dumped(envelope) == '{\n  "1": "str",\n  "rows": []\n}\n'
+
+
+def test_row_codes_refine_across_chunks():
+    # "base" is coded first; "half" and "odd" are functions of it, so only
+    # compared, while "noise" is not and refines the codes
+    n_rows = 2 * CHUNK + 7
+    rng = np.random.default_rng(7)
+    base = rng.integers(0, 9, n_rows)
+    noise = rng.choice([0.0, -0.0, math.nan, 0.25], n_rows)
+    block = RowBlock(
+        ("half", "id", "odd", "base", "noise"),
+        (np.where(base == 0, -0.0, base / 2), np.arange(n_rows), base % 2 == 1, base, noise),
+    )
+    codes, reps = distinct_rows((base, block.columns[0], block.columns[2], noise), n_rows)
+    pairs = list(zip(base.tolist(), noise.view(np.uint64).tolist()))
+    assert len(reps) == len(set(pairs)) == 36
+    assert [pairs[r] for r in reps[codes]] == pairs
+    envelope = {"table": {"rows": block}}
+    assert dumped(envelope) == reference(envelope)

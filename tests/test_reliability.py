@@ -159,6 +159,22 @@ def test_error_variance_matches_norm_identity():
         assert direct == pytest.approx(norms, rel=1e-12)
 
 
+def test_one_report_forms_the_half_moments_once(monkeypatch):
+    # Σg², Σh² and Σgh are three dot products, shared by r_tt, the
+    # split-half correlation and the F-test
+    rng = np.random.default_rng(23)
+    s = SubTestScores(g=rng.integers(0, 20, size=60), h=rng.integers(0, 20, size=60))
+    stats = stats_for(s, 40)
+    calls = []
+    dot = np.dot
+    monkeypatch.setattr(np, "dot", lambda *args: calls.append(1) or dot(*args))
+    report = classical_reliability(s, stats)
+    assert len(calls) == 3
+    assert report.r_gh == split_half_correlation(s)
+    assert report.f_stat == f_test_equal_variance(s)[0]
+    assert len(calls) == 3
+
+
 def test_split_half_correlation_matches_numpy():
     rng = np.random.default_rng(22)
     g = rng.integers(0, 25, size=80)

@@ -1,13 +1,16 @@
 """The per-examinee tables on the CLI's output paths, against row references.
 
-``TrueScoreTable`` and ``EstimatorComparison`` hold columns, and
-``cli._dump`` renders their ``rows`` blocks as one join over each
-column's distinct value texts and the ``bins`` id lists as lists of
-scalars.  The property tests build random tables and require
-the exact bytes that ``json.dumps(..., indent=2, sort_keys=True)``
-writes for the same report built from row dicts over the column names
-spelt out below, and the bytes of a ``csv.writer`` loop over the same
-rows for ``to_csv``.
+``TrueScoreTable`` and ``EstimatorComparison`` hold columns.  ``cli._dump``
+codes the rows of each ``rows`` block by their distinct values apart from
+the ids (``data_model.distinct_rows``) and renders each distinct row once;
+the ids, in the rows of both tables and in the ``bins`` id arrays, come
+from one rendering of 0, 1, 2, ... per dump.  ``to_csv`` writes each
+distinct row's cells after the id once through ``csv.writer``.  The tests
+build random tables, and tables of several chunks from seeded scores,
+and require the exact bytes that ``json.dumps(..., indent=2,
+sort_keys=True)`` writes for the same report built from row dicts over
+the column names spelt out below, and the bytes of a ``csv.writer`` loop
+over the same rows for ``to_csv``.
 """
 
 import csv
@@ -20,7 +23,14 @@ import numpy as np
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from splitrel import EstimatorComparison, TrueScoreTable
+from splitrel import (
+    EstimatorComparison,
+    ExamineeScores,
+    TrueScoreTable,
+    compare_estimators,
+    descriptive_stats,
+    estimate_true_scores,
+)
 from splitrel.cli import _dump
 
 from conftest import json_safe as _json_safe
@@ -98,6 +108,59 @@ def reference_bins(table):
     return {str(k): ids for k, ids in sorted(bins.items())}
 
 
+def reference_report(table, comparison, percentile=None):
+    """The report the CLI writes for the two tables, as ``json.dumps`` writes
+    it from row dicts and id lists."""
+    reference_table = dict(table.to_dict())
+    reference_table["rows"] = reference_rows(table, TABLE_COLUMNS)
+    reference_table["bins"] = reference_bins(table)
+    reference_comparison = dict(comparison.to_dict())
+    reference_comparison["rows"] = reference_rows(comparison, COMPARISON_COLUMNS)
+    reference = {
+        "report": {
+            "table": reference_table,
+            "comparison": reference_comparison,
+            "percentile": percentile,
+        },
+        "tool": "splitrel",
+    }
+    return json.dumps(_json_safe(reference), indent=2, sort_keys=True) + "\n"
+
+
+def dumped_report(table, comparison, percentile=None):
+    body = {
+        "table": table.to_dict(),
+        "comparison": comparison.to_dict(),
+        "percentile": percentile,
+    }
+    out = io.StringIO()
+    with redirect_stdout(out):
+        _dump({"report": body, "tool": "splitrel"}, None)
+    return out.getvalue()
+
+
+def reference_csv(table):
+    buf = io.StringIO()
+    writer = csv.writer(buf)
+    writer.writerow(TABLE_COLUMNS)
+    for row in reference_rows(table, TABLE_COLUMNS):
+        writer.writerow(row.values())
+    return buf.getvalue()
+
+
+def tables_from_scores(n_rows, n_items, seed):
+    """A true-score table and a comparison of ``n_rows`` seeded scores."""
+    totals = np.random.default_rng(seed).binomial(n_items, 0.6, n_rows)
+    x = ExamineeScores(totals)
+    stats = descriptive_stats(x, n_items)
+    table = estimate_true_scores(x, stats, 0.83, "classical")
+    return table, compare_estimators(x, stats, 0.83, 0.79)
+
+
+# the writer's chunk size, cli._CHUNK_ROWS
+CHUNK = 4096
+
+
 @PROPERTY
 @given(tables(), st.none() | FINITE)
 def test_writers_produce_the_bytes_of_the_row_references(pair, percentile):
@@ -154,3 +217,17 @@ def test_row_block_lists_the_row_dicts():
     assert type(rows[1]["examinee_id"]) is int
     assert type(rows[1]["out_of_range"]) is bool
     assert type(rows[1]["observed"]) is int
+
+
+def test_a_truescore_report_of_several_chunks_has_the_reference_bytes():
+    # ids past 999, rows in four chunks, and 41 distinct rows besides the ids
+    table, comparison = tables_from_scores(3 * CHUNK + 1, 40, seed=30)
+    assert dumped_report(table, comparison, 41.5) == reference_report(table, comparison, 41.5)
+    assert table.to_csv() == reference_csv(table)
+
+
+def test_consecutive_dumps_of_different_sizes_each_have_the_reference_bytes():
+    # the id texts one dump renders are not carried into the next
+    for n_rows in (2 * CHUNK + 5, 1500, 3 * CHUNK + 1, 40):
+        table, comparison = tables_from_scores(n_rows, 30, seed=n_rows)
+        assert dumped_report(table, comparison) == reference_report(table, comparison)
