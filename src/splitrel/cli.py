@@ -41,12 +41,10 @@ import numpy as np
 from ._version import __version__
 from .data_model import (
     ExamineeScores,
-    ListBlock,
     RowBlock,
     ScoreMatrix,
     TestStats,
     descriptive_stats,
-    distinct_rows,
     load_score_matrix,
     write_score_matrix,
 )
@@ -83,7 +81,7 @@ _WEIGHT_METHODS = ("optimal", "nonneg", "eigen-cov", "eigen-corr", "equal")
 _CHUNK_ROWS = 4096
 
 # values that ``_json`` writes as nested JSON rather than as one scalar
-_CONTAINERS = (dict, list, tuple, np.ndarray, RowBlock, ListBlock)
+_CONTAINERS = (dict, list, tuple, np.ndarray, RowBlock)
 
 # namespace entries that are not analysis parameters of the envelope
 _NOT_PARAMETERS = frozenset(
@@ -270,31 +268,30 @@ def _json_rows(block: RowBlock, indent: str, ints: _IntTexts) -> Iterator[str]:
     """The row dicts of ``block`` as JSON text, ``,\n`` + ``indent`` between
     rows, in chunks of ``_CHUNK_ROWS`` rows.
 
-    A strictly increasing int column, such as ids, has one text per row.
-    The other columns are coded together by ``distinct_rows``, and each
-    run of them between two such columns is one segment, rendered once
-    per code from the representative rows, with the key pieces and the
-    row end inside.  A chunk is one join over the segments' texts of its
-    rows."""
+    Each column that ``block.coding()`` marks as coded is rendered once
+    per code, at the representative rows, and each run of them is one
+    segment per code, with the key pieces and the row end inside.  Every
+    other column has one text per row: ints from ``ints``, floats and
+    bools from ``_json_values``.  A chunk is one join over the segments'
+    texts of its rows."""
     n_rows = len(block.columns[0]) if block.columns else 0
     if not n_rows:
         return
     sep = f",\n{indent}"
-    order = sorted(range(len(block.fields)), key=block.fields.__getitem__)
-    columns = block.columns
-    per_row = {k for k, c in enumerate(columns) if c.dtype.kind in "iu" and np.all(c[1:] > c[:-1])}
-    codes, reps = distinct_rows([columns[k] for k in order if k not in per_row], n_rows)
+    codes, reps, coded = block.coding()
     segments: list[tuple[np.ndarray, np.ndarray | None]] = []
     texts = [""] * reps.size
-    for j, k in enumerate(order):
+    for j, k in enumerate(sorted(range(len(block.fields)), key=block.fields.__getitem__)):
         key = f"{',' if j else '{'}\n{indent}  {json.dumps(block.fields[k])}: "
-        if k in per_row:
-            segments.append((np.array([text + key for text in texts], dtype=object), codes))
-            segments.append((ints.of(columns[k]), None))
-            texts = [""] * reps.size
-        else:
-            values = _json_values(columns[k][reps].tolist())
+        column = block.columns[k]
+        if coded[k]:
+            values = _json_values(column[reps].tolist())
             texts = [text + key + value for text, value in zip(texts, values)]
+            continue
+        per_row = ints.of(column) if column.dtype.kind in "iu" else _json_values(column.tolist())
+        segments.append((np.array([text + key for text in texts], dtype=object), codes))
+        segments.append((np.asarray(per_row, dtype=object), None))
+        texts = [""] * reps.size
     segments.append((np.array([f"{text}\n{indent}}}{sep}" for text in texts], dtype=object), codes))
     for start in range(0, n_rows, _CHUNK_ROWS):
         rows = slice(start, min(start + _CHUNK_ROWS, n_rows))
@@ -312,8 +309,6 @@ def _json(obj, indent: str, ints: _IntTexts) -> Iterator[str]:
     ``str(k)``, numpy scalars as Python ones, NaN and inf as ``null``.  A
     list of scalars or a 1-dimensional int array is one piece, and a
     ``RowBlock`` (as its row dicts) one piece per chunk of rows."""
-    if isinstance(obj, ListBlock):
-        obj = obj.arrays
     if isinstance(obj, np.ndarray) and not (obj.ndim == 1 and obj.dtype.kind in "iu"):
         obj = obj.tolist()
     inner = indent + "  "

@@ -31,7 +31,6 @@ import math
 import mmap
 import os
 import stat
-from collections.abc import Mapping
 from dataclasses import dataclass
 
 import numpy as np
@@ -174,64 +173,36 @@ class RowBlock:
     ``columns[k]`` is a 1-dimensional float64, int or bool numpy array
     holding the values of ``fields[k]``, one per row.  ``tolist()`` gives
     the list of row dicts the block stands for; the CLI's JSON writer
-    renders it straight from the columns.
+    renders it straight from the columns.  ``codes``, if given, is one
+    nonnegative int per row; rows of one code are expected to share most
+    columns, and ``coding()`` finds which.
     """
 
     fields: tuple[str, ...]
     columns: tuple[np.ndarray, ...]
+    codes: np.ndarray | None = None
 
     def tolist(self) -> list[dict]:
         rows = zip(*(column.tolist() for column in self.columns))
         return [dict(zip(self.fields, values)) for values in rows]
 
+    def coding(self) -> tuple[np.ndarray, np.ndarray, tuple[bool, ...]]:
+        """Each row's code, one row per code, and which columns are coded.
 
-class ListBlock(Mapping):
-    """The ``bins`` entry of a true-score table's ``to_dict()``: keys to
-    lists of ints, kept as int arrays.  ``block[k]`` is the list; the
-    CLI's JSON writer renders straight from ``arrays``."""
-
-    def __init__(self, arrays: dict[str, np.ndarray]) -> None:
-        self.arrays = arrays
-
-    def __getitem__(self, key: str) -> list:
-        return self.arrays[key].tolist()
-
-    def __iter__(self):
-        return iter(self.arrays)
-
-    def __len__(self) -> int:
-        return len(self.arrays)
-
-
-def _ranks(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Each value's rank among the distinct ``keys`` and one index per rank."""
-    order = np.argsort(keys)
-    ordered = keys[order]
-    starts = np.ones(keys.size, dtype=bool)
-    starts[1:] = ordered[1:] != ordered[:-1]
-    ranks = np.empty(keys.size, dtype=np.intp)
-    ranks[order] = np.cumsum(starts) - 1
-    return ranks, order[starts]
-
-
-def distinct_rows(columns, n_rows: int) -> tuple[np.ndarray, np.ndarray]:
-    """Each row's code over ``columns`` and one row index per code.
-
-    Two rows share a code exactly when every column holds the same bits
-    in both, so -0.0 stays apart from 0.0.  A column that is already a
-    function of the codes costs one comparison at the representative
-    rows; only any other column refines the codes by a sort.
-    """
-    codes = np.zeros(n_rows, dtype=np.intp)
-    reps = np.zeros(min(n_rows, 1), dtype=np.intp)
-    for column in columns:
-        keys = column.view(f"u{column.itemsize}") if column.dtype.kind == "f" else column
-        if np.array_equal(keys[reps][codes], keys):
-            continue
-        ranks, firsts = _ranks(keys)
-        # (code, rank) pairs as one int below n_rows**2
-        codes, reps = _ranks(codes * firsts.size + ranks) if reps.size > 1 else (ranks, firsts)
-    return codes, reps
+        Column k is coded (``True``) when it holds the same bits in every
+        row of a code, so -0.0 is not 0.0.  Without ``codes``, or with one
+        reaching twice the row count, each row is its own code.  A code
+        that no row has keeps row 0.
+        """
+        n_rows = len(self.columns[0]) if self.columns else 0
+        codes = self.codes
+        if codes is None or codes.max(initial=0) >= 2 * n_rows:
+            codes = np.arange(n_rows)
+        reps = np.zeros(codes.max(initial=-1) + 1, dtype=np.intp)
+        reps[codes] = np.arange(n_rows)
+        same = reps[codes]
+        keys = (c.view(f"u{c.itemsize}") if c.dtype.kind == "f" else c for c in self.columns)
+        return codes, reps, tuple(bool(np.array_equal(k[same], k)) for k in keys)
 
 
 def _read(source) -> bytes | mmap.mmap:

@@ -27,7 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data_model import ExamineeScores, ListBlock, RowBlock, TestStats, distinct_rows
+from .data_model import ExamineeScores, RowBlock, TestStats, _totals
 from .errors import RangeError, ShapeError, ZeroVariance
 
 __all__ = [
@@ -43,9 +43,12 @@ _KINDS = ("classical", "split_half")
 
 class _ColumnTable:
     """A per-examinee table: its numpy-array fields, in field order, are its
-    columns, and its other fields are scalars of the whole table."""
+    columns, and its other fields are scalars of the whole table.  The
+    observed scores code the rows: in a computed table every column but
+    the ids is a function of them."""
 
     def __post_init__(self) -> None:
+        object.__setattr__(self, "observed", _totals(self.observed, "observed scores"))
         for column in self._row_block().columns:
             column.setflags(write=False)
 
@@ -55,7 +58,7 @@ class _ColumnTable:
 
     def _row_block(self) -> RowBlock:
         columns = {k: v for k, v in vars(self).items() if isinstance(v, np.ndarray)}
-        return RowBlock(tuple(columns), tuple(columns.values()))
+        return RowBlock(tuple(columns), tuple(columns.values()), self.observed)
 
     def to_dict(self) -> dict:
         block = self._row_block()
@@ -98,19 +101,19 @@ class TrueScoreTable(_ColumnTable):
             raise RangeError(f"unknown reliability kind {self.reliability_kind!r}")
         super().__post_init__()
 
-    def _bins(self) -> ListBlock:
+    def _bins(self) -> dict[str, np.ndarray]:
         keys = np.floor(self.estimate)
         order = np.argsort(keys, kind="stable")
         bin_keys, starts = np.unique(keys[order], return_index=True)
         ids = np.split(self.examinee_id[order], starts[1:])
-        return ListBlock({str(int(k)): v for k, v in zip(bin_keys.tolist(), ids)})
+        return {str(int(k)): v for k, v in zip(bin_keys.tolist(), ids)}
 
     def bin_lookup(self) -> dict[int, list]:
         """Which examinees land in each unit-width estimate bin [k, k+1).
 
         Bins are in ascending order of k and ids in row order within a bin.
         """
-        return {int(k): ids for k, ids in self._bins().items()}
+        return {int(k): ids.tolist() for k, ids in self._bins().items()}
 
     def to_dict(self) -> dict:
         return {**super().to_dict(), "bins": self._bins()}
@@ -118,12 +121,15 @@ class TrueScoreTable(_ColumnTable):
     def to_csv(self) -> str:
         """One CSV row per examinee, after a header of the column names.
 
-        ``csv.writer`` writes the cells after the id once per distinct row
-        of the other columns; each line is the id's text and its row's.
+        ``csv.writer`` writes the cells after the id once per code of the
+        rows, or once per row if a column after the id is not coded; each
+        line is the id's text and its row's.
         """
         block = self._row_block()
         ids, rest = block.columns[0], block.columns[1:]
-        codes, reps = distinct_rows(rest, ids.size)
+        codes, reps, coded = block.coding()
+        if not all(coded[1:]):
+            codes = reps = np.arange(ids.size)
         buf = io.StringIO()
         writer = csv.writer(buf)
         writer.writerow(block.fields)
@@ -246,7 +252,5 @@ def compare_estimators(
 
 def percentile_rank(table: TrueScoreTable, t: float) -> float:
     """Empirical-CDF percentile of estimate t: 100 * #(T_hat <= t) / N."""
-    if not table.n_examinees:
-        raise ShapeError("percentile rank needs a nonempty table")
     count = int(np.count_nonzero(table.estimate <= t))
     return 100.0 * count / table.n_examinees

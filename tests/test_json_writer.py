@@ -23,7 +23,6 @@ from hypothesis import strategies as st
 
 from splitrel import cli
 from splitrel.cli import _dump
-from splitrel.data_model import distinct_rows
 from splitrel.truescore import RowBlock
 
 from conftest import json_safe
@@ -60,8 +59,8 @@ POOLED_INTS = st.sampled_from([0, -1, 2**63 - 1, -(2**63 - 1), -(2**63)]) | INT6
 
 @st.composite
 def increasing(draw, n_rows):
-    """A strictly increasing int64 column, as numbered ids are: a start and
-    steps of at least 1, up to the int64 extremes."""
+    """An increasing int64 column, as numbered ids are: a start and steps
+    of at least 1, up to the int64 extremes."""
     start = draw(st.integers(-(2**63) - 1, 2**62 - 1))
     steps = st.lists(st.integers(1, 2) | st.integers(1, 2**58), min_size=n_rows, max_size=n_rows)
     return np.array([start + s for s in accumulate(draw(steps))], dtype=np.int64)
@@ -71,15 +70,25 @@ def increasing(draw, n_rows):
 def row_blocks(draw):
     """Columns of one length, each a float64, int64 or bool numpy array.
 
-    Strictly increasing int columns, as ids are (every 1-row int column
-    is one), take the writer's one-text-per-row path, at any sorted key;
-    pooled columns repeat values, so that consecutive ones form many
-    joint combinations."""
+    Pooled columns repeat values, so that consecutive ones form many
+    joint combinations.  A coded block takes its codes from a small pool
+    (up to twice the row count, past which each row is its own code).
+    Most of its columns are gathered from one value per code; the others,
+    such as 0.0 and -0.0 within one code, are no function of the codes
+    and take the writer's one-text-per-row path."""
     fields = draw(st.lists(TEXT, unique=True, max_size=4))
     n_rows = draw(st.integers(0, 1) | st.integers(0, 16))
     pooled = arrays(n_rows, n_rows, POOLED_INTS, POOLED_FLOATS)
     column = increasing(n_rows) | arrays(n_rows, n_rows) | pooled
-    return RowBlock(tuple(fields), tuple(draw(column) for _ in fields))
+    codes = draw(st.none() | st.lists(st.integers(0, 3), min_size=n_rows, max_size=n_rows))
+    if codes is None:
+        return RowBlock(tuple(fields), tuple(draw(column) for _ in fields))
+    codes = np.array(codes, dtype=np.int64)
+    per_code = arrays(4, 4, POOLED_INTS, POOLED_FLOATS).map(lambda values: values[codes])
+    signs = st.lists(st.booleans(), min_size=n_rows, max_size=n_rows)
+    zeros = signs.map(lambda negative: np.where(negative, -0.0, 0.0))
+    kinds = st.sampled_from([per_code, per_code, zeros, column])
+    return RowBlock(tuple(fields), tuple(draw(draw(kinds)) for _ in fields), codes)
 
 
 VALUES = st.recursive(
@@ -152,8 +161,8 @@ def test_keys_colliding_as_strings_keep_the_last_value():
 
 
 def test_row_codes_refine_across_chunks():
-    # "base" is coded first; "half" and "odd" are functions of it, so only
-    # compared, while "noise" is not and refines the codes
+    # coded by "base", the columns "half" and "odd" are functions of it and
+    # rendered once per code, while "id" and "noise" are rendered per row
     n_rows = 2 * CHUNK + 7
     rng = np.random.default_rng(7)
     base = rng.integers(0, 9, n_rows)
@@ -161,10 +170,8 @@ def test_row_codes_refine_across_chunks():
     block = RowBlock(
         ("half", "id", "odd", "base", "noise"),
         (np.where(base == 0, -0.0, base / 2), np.arange(n_rows), base % 2 == 1, base, noise),
+        codes=base,
     )
-    codes, reps = distinct_rows((base, block.columns[0], block.columns[2], noise), n_rows)
-    pairs = list(zip(base.tolist(), noise.view(np.uint64).tolist()))
-    assert len(reps) == len(set(pairs)) == 36
-    assert [pairs[r] for r in reps[codes]] == pairs
+    assert block.coding()[2] == (True, False, True, True, False)
     envelope = {"table": {"rows": block}}
     assert dumped(envelope) == reference(envelope)

@@ -1,11 +1,13 @@
 """The per-examinee tables on the CLI's output paths, against row references.
 
-``TrueScoreTable`` and ``EstimatorComparison`` hold columns.  ``cli._dump``
-codes the rows of each ``rows`` block by their distinct values apart from
-the ids (``data_model.distinct_rows``) and renders each distinct row once;
-the ids, in the rows of both tables and in the ``bins`` id arrays, come
-from one rendering of 0, 1, 2, ... per dump.  ``to_csv`` writes each
-distinct row's cells after the id once through ``csv.writer``.  The tests
+``TrueScoreTable`` and ``EstimatorComparison`` hold columns, and their
+``rows`` blocks carry the observed scores as row codes.  ``cli._dump``
+renders each column that ``RowBlock.coding()`` finds to be a function of
+the codes once per code, and every other column once per row; the ids,
+in the rows of both tables and in the ``bins`` id arrays, come from one
+rendering of 0, 1, 2, ... per dump.  ``to_csv`` writes the cells after
+the id once per code through ``csv.writer``, or once per row when a
+column after the id is not a function of the codes.  The tests
 build random tables, and tables of several chunks from seeded scores,
 and require the exact bytes that ``json.dumps(..., indent=2,
 sort_keys=True)`` writes for the same report built from row dicts over
@@ -66,7 +68,8 @@ def tables(draw):
 
     # examinee ids are the 0-based row positions
     ids = np.arange(n_rows)
-    observed = np.array(column(st.integers(0, 60)), dtype=np.int64)
+    # a low top score repeats scores, so that the rows share codes
+    observed = np.array(column(st.integers(0, draw(st.sampled_from([3, 60])))), dtype=np.int64)
     table = TrueScoreTable(
         examinee_id=ids,
         observed=observed,
@@ -224,6 +227,15 @@ def test_a_truescore_report_of_several_chunks_has_the_reference_bytes():
     table, comparison = tables_from_scores(3 * CHUNK + 1, 40, seed=30)
     assert dumped_report(table, comparison, 41.5) == reference_report(table, comparison, 41.5)
     assert table.to_csv() == reference_csv(table)
+
+
+def test_every_column_of_a_table_but_the_ids_is_coded_by_the_observed_scores():
+    # so the writers render the rest of each row once per observed score
+    for n_rows in (40, 3 * CHUNK + 1):
+        table, comparison = tables_from_scores(n_rows, 30, seed=n_rows)
+        for t, columns in ((table, TABLE_COLUMNS), (comparison, COMPARISON_COLUMNS)):
+            coded = t.to_dict()["rows"].coding()[2]
+            assert coded == (False,) + (True,) * (len(columns) - 1)
 
 
 def test_consecutive_dumps_of_different_sizes_each_have_the_reference_bytes():

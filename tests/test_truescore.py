@@ -8,9 +8,11 @@ import numpy as np
 import pytest
 
 from splitrel import (
+    DomainViolation,
     ExamineeScores,
     RangeError,
     ShapeError,
+    TrueScoreTable,
     ZeroVariance,
     compare_estimators,
     descriptive_stats,
@@ -116,7 +118,7 @@ def test_bin_lookup_uses_unit_floor_bins():
     # estimates 10.0, 13.0, 7.0, 10.0
     assert bins == {7: [2], 10: [0, 3], 13: [1]}
     d = table.to_dict()
-    assert d["bins"] == {"7": [2], "10": [0, 3], "13": [1]}
+    assert {k: v.tolist() for k, v in d["bins"].items()} == {"7": [2], "10": [0, 3], "13": [1]}
 
 
 def test_to_csv_round_trips():
@@ -128,6 +130,25 @@ def test_to_csv_round_trips():
     assert len(lines) == 4
     assert [line["examinee_id"] for line in lines] == ["0", "1", "2", "3"]
     assert float(lines[1]["estimate"]) == pytest.approx(table.estimate[1])
+
+
+@pytest.mark.parametrize(
+    "observed, error",
+    [([3, -1], DomainViolation), ([3.0, 1.0], DomainViolation), ([], ShapeError)],
+)
+def test_a_table_takes_only_nonnegative_integer_observed_scores(observed, error):
+    n_rows = len(observed)
+    zeros = np.zeros(n_rows)
+    with pytest.raises(error, match="observed scores must be"):
+        TrueScoreTable(
+            examinee_id=np.arange(n_rows),
+            observed=np.array(observed),
+            estimate=zeros, low=zeros, high=zeros, prediction_error=zeros,
+            out_of_range=zeros.astype(bool),
+            alpha1=0.0, beta1=0.5, S_E=0.5, reliability_kind="classical",
+            prediction_error_variance=0.25, prediction_error_gap=0.0, n_items=4,
+            warnings=(),
+        )
 
 
 def test_percentile_rank_is_empirical_cdf():
