@@ -28,7 +28,7 @@ import sys
 import threading
 from importlib import import_module
 from itertools import chain
-from typing import TYPE_CHECKING, Iterable, Iterator, NamedTuple
+from typing import TYPE_CHECKING, Callable, Iterable, Iterator, NamedTuple
 
 # An idle OpenBLAS worker spins for about 2**28 cycles before it sleeps,
 # and start-up pays for that spin; with 2**4 it sleeps at once.  Only the
@@ -77,7 +77,7 @@ __all__ = ["Analysis", "analyze", "main", "load_schema"]
 
 _WEIGHT_METHODS = ("optimal", "nonneg", "eigen-cov", "eigen-corr", "equal")
 
-# rows of a ``RowBlock`` that ``_json`` renders and writes as one piece
+# rows of a ``RowBlock`` that ``_rows`` renders and writes as one piece
 _CHUNK_ROWS = 4096
 
 # values that ``_json`` writes as nested JSON rather than as one scalar
@@ -241,9 +241,9 @@ def _json_values(values: list) -> list[str]:
 
 
 class _IntTexts:
-    """The JSON texts of 0, 1, 2, ... for one ``_dump``, rendered once as
-    far as its int arrays reach, so that the ids every table of a report
-    repeats are rendered once."""
+    """The texts of 0, 1, 2, ... for one report, rendered once as far as
+    its int arrays reach, so that the ids every table of a report repeats
+    are rendered once."""
 
     def __init__(self) -> None:
         self.texts = np.empty(0, dtype=object)
@@ -264,43 +264,53 @@ class _IntTexts:
         return self.texts[values]
 
 
-def _json_rows(block: RowBlock, indent: str, ints: _IntTexts) -> Iterator[str]:
-    """The row dicts of ``block`` as JSON text, ``,\n`` + ``indent`` between
-    rows, in chunks of ``_CHUNK_ROWS`` rows.
-
-    Each column that ``block.coding()`` marks as coded is rendered once
-    per code, at the representative rows, and each run of them is one
-    segment per code, with the key pieces and the row end inside.  Every
-    other column has one text per row: ints from ``ints``, floats and
-    bools from ``_json_values``.  A chunk is one join over the segments'
-    texts of its rows."""
-    n_rows = len(block.columns[0]) if block.columns else 0
-    if not n_rows:
-        return
-    sep = f",\n{indent}"
+def _rows(
+    block: RowBlock, pieces: list, end: str, sep: str, text: Callable, ints: _IntTexts
+) -> Iterator[str]:
+    """The rows of ``block``, ``sep`` between them, in chunks of ``_CHUNK_ROWS``
+    rows.  A row is ``piece`` and the text of column k for each ``(k, piece)``
+    of ``pieces``, then ``end``.  Each column that ``block.coding()`` marks
+    as coded is rendered once per code, at the representative rows, and
+    each run of them is one segment per code, with the pieces and the row
+    end inside.  Every other column has one text per row: ints from
+    ``ints``, the rest from ``text``, which maps a list of values to their
+    texts.  A chunk is one join over the segments' texts of its rows."""
     codes, reps, coded = block.coding()
+    n_rows = codes.size
     segments: list[tuple[np.ndarray, np.ndarray | None]] = []
     texts = [""] * reps.size
-    for j, k in enumerate(sorted(range(len(block.fields)), key=block.fields.__getitem__)):
-        key = f"{',' if j else '{'}\n{indent}  {json.dumps(block.fields[k])}: "
+    for k, piece in pieces:
         column = block.columns[k]
         if coded[k]:
-            values = _json_values(column[reps].tolist())
-            texts = [text + key + value for text, value in zip(texts, values)]
+            values = text(column[reps].tolist())
+            texts = [row + piece + value for row, value in zip(texts, values)]
             continue
-        per_row = ints.of(column) if column.dtype.kind in "iu" else _json_values(column.tolist())
-        segments.append((np.array([text + key for text in texts], dtype=object), codes))
+        per_row = ints.of(column) if column.dtype.kind in "iu" else text(column.tolist())
+        segments.append((np.array([row + piece for row in texts], dtype=object), codes))
         segments.append((np.asarray(per_row, dtype=object), None))
         texts = [""] * reps.size
-    segments.append((np.array([f"{text}\n{indent}}}{sep}" for text in texts], dtype=object), codes))
+    segments.append((np.array([row + end + sep for row in texts], dtype=object), codes))
     for start in range(0, n_rows, _CHUNK_ROWS):
         rows = slice(start, min(start + _CHUNK_ROWS, n_rows))
         cells = np.empty((rows.stop - start, len(segments)), dtype=object)
-        for s, (pieces, index) in enumerate(segments):
-            cells[:, s] = pieces[rows] if index is None else pieces[index[rows]]
+        for s, (segment, index) in enumerate(segments):
+            cells[:, s] = segment[rows] if index is None else segment[index[rows]]
         if rows.stop == n_rows:
-            cells[-1, -1] = cells[-1, -1][: -len(sep)]
+            cells[-1, -1] = cells[-1, -1].removesuffix(sep)
         yield "".join(cells.ravel().tolist())
+
+
+def _csv(block: RowBlock, end: str) -> Iterator[str]:
+    """The text a ``csv.writer`` with line terminator ``end`` writes for
+    the fields of ``block`` and then its rows, in pieces."""
+    import csv
+    import io
+
+    header = io.StringIO()
+    csv.writer(header, lineterminator=end).writerow(block.fields)
+    yield header.getvalue()
+    pieces = [(k, "," if k else "") for k in range(len(block.fields))]
+    yield from _rows(block, pieces, end, "", lambda values: list(map(str, values)), _IntTexts())
 
 
 def _json(obj, indent: str, ints: _IntTexts) -> Iterator[str]:
@@ -324,7 +334,11 @@ def _json(obj, indent: str, ints: _IntTexts) -> Iterator[str]:
         issubclass(kind, _CONTAINERS) for kind in set(map(type, obj))
     ):
         if isinstance(obj, RowBlock):
-            chunks = _json_rows(obj, inner, ints)
+            keys = [
+                (k, f"{',' if j else '{'}\n{inner}  {json.dumps(obj.fields[k])}: ")
+                for j, k in enumerate(sorted(range(len(obj.fields)), key=obj.fields.__getitem__))
+            ]
+            chunks = _rows(obj, keys, f"\n{inner}}}", f",\n{inner}", _json_values, ints)
         else:
             texts = ints.of(obj).tolist() if isinstance(obj, np.ndarray) else _json_values(obj)
             chunks = iter([f",\n{inner}".join(texts)])
@@ -373,10 +387,7 @@ def _histogram(values: np.ndarray, capacity: int, width: int) -> list[int]:
 def _cmd_split(args: argparse.Namespace) -> None:
     _, result = _load_and_split(args.input, args)
     if args.fmt == "csv":
-        rows = result.to_dict()["rows"]
-        lines = [",".join(rows.fields)]
-        lines += [",".join(map(str, row)) for row in zip(*(c.tolist() for c in rows.columns))]
-        _emit(["\n".join(lines), "\n"], args.output)
+        _emit(_csv(result.to_dict()["rows"], "\n"), args.output)
         return
     _dump(_envelope(args, result.to_dict()), args.output)
 
@@ -429,7 +440,7 @@ def _cmd_truescore(args: argparse.Namespace) -> None:
         )
     table = estimate_true_scores(x, stats, r, args.reliability_kind)
     if args.fmt == "csv":
-        _emit([table.to_csv()], args.output)
+        _emit(_csv(table.row_block(), "\r\n"), args.output)
         return
     comparison = compare_estimators(x, stats, report.r_tt, report.r_gh)
     percentile = None

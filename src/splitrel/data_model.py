@@ -168,14 +168,14 @@ class TestStats:
 
 @dataclass(frozen=True)
 class RowBlock:
-    """The ``rows`` entry of a per-examinee table's ``to_dict()``, kept as columns.
+    """The ``rows`` of a split's or a per-examinee table's ``to_dict()``, as columns.
 
     ``columns[k]`` is a 1-dimensional float64, int or bool numpy array
     holding the values of ``fields[k]``, one per row.  ``tolist()`` gives
-    the list of row dicts the block stands for; the CLI's JSON writer
-    renders it straight from the columns.  ``codes``, if given, is one
-    nonnegative int per row; rows of one code are expected to share most
-    columns, and ``coding()`` finds which.
+    the list of row dicts the block stands for; the CLI's JSON and CSV
+    writers render it straight from the columns.  ``codes``, if given, is
+    one nonnegative int per row; rows of one code are expected to share
+    most columns, and ``coding()`` finds which.
     """
 
     fields: tuple[str, ...]

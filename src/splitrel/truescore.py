@@ -20,8 +20,6 @@ operations per value as the row formulas in the docstrings.
 
 from __future__ import annotations
 
-import csv
-import io
 import math
 from dataclasses import dataclass
 
@@ -49,19 +47,19 @@ class _ColumnTable:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "observed", _totals(self.observed, "observed scores"))
-        for column in self._row_block().columns:
+        for column in self.row_block().columns:
             column.setflags(write=False)
 
     @property
     def n_examinees(self) -> int:
         return len(self.observed)
 
-    def _row_block(self) -> RowBlock:
+    def row_block(self) -> RowBlock:
         columns = {k: v for k, v in vars(self).items() if isinstance(v, np.ndarray)}
         return RowBlock(tuple(columns), tuple(columns.values()), self.observed)
 
     def to_dict(self) -> dict:
-        block = self._row_block()
+        block = self.row_block()
         scalars = {k: v for k, v in vars(self).items() if k not in block.fields}
         return {**scalars, "rows": block, "warnings": list(self.warnings)}
 
@@ -117,30 +115,6 @@ class TrueScoreTable(_ColumnTable):
 
     def to_dict(self) -> dict:
         return {**super().to_dict(), "bins": self._bins()}
-
-    def to_csv(self) -> str:
-        """One CSV row per examinee, after a header of the column names.
-
-        ``csv.writer`` writes the cells after the id once per code of the
-        rows, or once per row if a column after the id is not coded; each
-        line is the id's text and its row's.
-        """
-        block = self._row_block()
-        ids, rest = block.columns[0], block.columns[1:]
-        codes, reps, coded = block.coding()
-        if not all(coded[1:]):
-            codes = reps = np.arange(ids.size)
-        buf = io.StringIO()
-        writer = csv.writer(buf)
-        writer.writerow(block.fields)
-        # an empty first cell, so that each tail starts with the comma after the id
-        writer.writerows(zip([""] * reps.size, *(column[reps].tolist() for column in rest)))
-        # no name or number holds a line break, so each line is one row
-        header, *tails = buf.getvalue().splitlines(keepends=True)
-        lines = np.empty((ids.size, 2), dtype=object)
-        lines[:, 0] = list(map(str, ids.tolist()))
-        lines[:, 1] = np.array(tails, dtype=object)[codes]
-        return header + "".join(lines.ravel().tolist())
 
 
 def estimate_true_scores(

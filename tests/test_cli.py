@@ -179,6 +179,30 @@ def test_truescore_csv_lists_every_examinee(matrix_csv):
     assert len(rows) == 120
 
 
+def test_truescore_csv_streams_in_chunks_of_rows(tmp_path, monkeypatch):
+    # four chunks of rows: the table is written piece by piece, never whole
+    path = str(tmp_path / "m.csv")
+    n_rows = 3 * cli._CHUNK_ROWS + 1
+    assert main(["simulate", "--model", "D3", "--N", str(n_rows), "--n", "21",
+                 "--seed", "7", "--output", path]) == 0
+    pieces = []
+    emit = cli._emit
+
+    def recording(texts, output):
+        pieces.extend(texts)
+        emit(pieces, output)
+
+    monkeypatch.setattr(cli, "_emit", recording)
+    code, out, _ = run_cli("truescore", "--input", path, "--format", "csv")
+    assert code == 0
+    assert "".join(pieces) == out
+    lines = out.splitlines(keepends=True)[1:]
+    chunks = range(0, n_rows, cli._CHUNK_ROWS)
+    longest = max(len("".join(lines[i : i + cli._CHUNK_ROWS])) for i in chunks)
+    assert len(pieces) > 1
+    assert max(map(len, pieces)) <= longest
+
+
 def test_battery_two_inputs(schema, tmp_path):
     rng = np.random.default_rng(61)
     paths = []

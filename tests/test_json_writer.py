@@ -1,4 +1,5 @@
-"""The CLI's one JSON writer, against ``json.dumps`` on the plain value.
+"""The CLI's one JSON writer, against ``json.dumps`` on the plain value,
+and its CSV writer, against ``csv.writer``.
 
 ``cli._dump`` renders a whole report in one indented pass: dicts with
 ``str(k)`` keys, lists and arrays, ``RowBlock``s in chunks of rows built
@@ -6,9 +7,12 @@ from each column's value texts, numpy scalars, and NaN or inf as
 ``null``.  On random nested values, and at any chunk size, it must
 write exactly what ``json.dumps(json_safe(v), indent=2,
 sort_keys=True)`` writes for the same value with every ``RowBlock``
-replaced by its row dicts.
+replaced by its row dicts.  ``cli._csv`` renders a ``RowBlock``'s rows
+with the same renderer, and must write what a ``csv.writer`` loop over
+its fields and row values writes, with either line end.
 """
 
+import csv
 import io
 import json
 import math
@@ -175,3 +179,27 @@ def test_row_codes_refine_across_chunks():
     assert block.coding()[2] == (True, False, True, True, False)
     envelope = {"table": {"rows": block}}
     assert dumped(envelope) == reference(envelope)
+
+
+def csv_reference(block: RowBlock, end: str) -> str:
+    """What a ``csv.writer`` loop writes for the fields and rows of ``block``."""
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator=end)
+    writer.writerow(block.fields)
+    for row in block.tolist():
+        writer.writerow(row.values())
+    return buf.getvalue()
+
+
+@settings(max_examples=400, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(row_blocks(), st.sampled_from(["\n", "\r\n"]), st.sampled_from([1, 2, 3, CHUNK]))
+def test_csv_writes_the_bytes_of_csv_writer(block, end, chunk_rows):
+    with patch.object(cli, "_CHUNK_ROWS", chunk_rows):
+        try:
+            expected = csv_reference(block, end)
+        except csv.Error:
+            # before Python 3.11 the writer refuses a NUL in a field name
+            with pytest.raises(csv.Error):
+                "".join(cli._csv(block, end))
+            return
+        assert "".join(cli._csv(block, end)) == expected

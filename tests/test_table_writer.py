@@ -5,14 +5,13 @@
 renders each column that ``RowBlock.coding()`` finds to be a function of
 the codes once per code, and every other column once per row; the ids,
 in the rows of both tables and in the ``bins`` id arrays, come from one
-rendering of 0, 1, 2, ... per dump.  ``to_csv`` writes the cells after
-the id once per code through ``csv.writer``, or once per row when a
-column after the id is not a function of the codes.  The tests
-build random tables, and tables of several chunks from seeded scores,
-and require the exact bytes that ``json.dumps(..., indent=2,
-sort_keys=True)`` writes for the same report built from row dicts over
-the column names spelt out below, and the bytes of a ``csv.writer`` loop
-over the same rows for ``to_csv``.
+rendering of 0, 1, 2, ... per dump.  ``cli._csv`` writes a table's
+``row_block()`` through the same renderer, with commas between cells and
+``\r\n`` after each row.  The tests build random tables, and tables of
+several chunks from seeded scores, and require the exact bytes that
+``json.dumps(..., indent=2, sort_keys=True)`` writes for the same report
+built from row dicts over the column names spelt out below, and the
+bytes of a ``csv.writer`` loop over the same rows for the CSV table.
 """
 
 import csv
@@ -33,7 +32,7 @@ from splitrel import (
     descriptive_stats,
     estimate_true_scores,
 )
-from splitrel.cli import _dump
+from splitrel.cli import _csv, _dump
 
 from conftest import json_safe as _json_safe
 
@@ -197,7 +196,7 @@ def test_writers_produce_the_bytes_of_the_row_references(pair, percentile):
     writer.writerow(TABLE_COLUMNS)
     for row in reference_rows(table, TABLE_COLUMNS):
         writer.writerow(row.values())
-    assert table.to_csv() == buf.getvalue()
+    assert "".join(_csv(table.row_block(), "\r\n")) == buf.getvalue()
 
 
 def test_row_block_lists_the_row_dicts():
@@ -226,7 +225,7 @@ def test_a_truescore_report_of_several_chunks_has_the_reference_bytes():
     # ids past 999, rows in four chunks, and 41 distinct rows besides the ids
     table, comparison = tables_from_scores(3 * CHUNK + 1, 40, seed=30)
     assert dumped_report(table, comparison, 41.5) == reference_report(table, comparison, 41.5)
-    assert table.to_csv() == reference_csv(table)
+    assert "".join(_csv(table.row_block(), "\r\n")) == reference_csv(table)
 
 
 def test_every_column_of_a_table_but_the_ids_is_coded_by_the_observed_scores():

@@ -19,6 +19,7 @@ from splitrel import (
     estimate_true_scores,
     percentile_rank,
 )
+from splitrel.cli import _csv
 
 
 def make_stats(values, n_items):
@@ -121,11 +122,11 @@ def test_bin_lookup_uses_unit_floor_bins():
     assert {k: v.tolist() for k, v in d["bins"].items()} == {"7": [2], "10": [0, 3], "13": [1]}
 
 
-def test_to_csv_round_trips():
+def test_csv_round_trips():
     x = [3, 9, 6, 6]
     st = make_stats(x, 12)
     table = estimate_true_scores(ExamineeScores(x), st, 0.5, "classical")
-    text = table.to_csv()
+    text = "".join(_csv(table.row_block(), "\r\n"))
     lines = list(csv.DictReader(io.StringIO(text)))
     assert len(lines) == 4
     assert [line["examinee_id"] for line in lines] == ["0", "1", "2", "3"]
