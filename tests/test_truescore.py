@@ -122,7 +122,7 @@ def test_bin_lookup_uses_unit_floor_bins():
     assert {k: v.tolist() for k, v in d["bins"].items()} == {"7": [2], "10": [0, 3], "13": [1]}
 
 
-def test_csv_round_trips():
+def test_to_csv_round_trips():
     x = [3, 9, 6, 6]
     st = make_stats(x, 12)
     table = estimate_true_scores(ExamineeScores(x), st, 0.5, "classical")
