@@ -240,41 +240,15 @@ def _json_values(values: list) -> list[str]:
     ]
 
 
-class _IntTexts:
-    """The texts of 0, 1, 2, ... for one report, rendered once as far as
-    its int arrays reach, so that the ids every table of a report repeats
-    are rendered once."""
-
-    def __init__(self) -> None:
-        self.texts = np.empty(0, dtype=object)
-
-    def of(self, values: np.ndarray) -> np.ndarray:
-        """The texts of a 1-dimensional int array, as an object array.  One
-        with a negative value, or reaching past both the texts rendered so
-        far and twice its length, is rendered value by value."""
-        top = int(values.max()) if values.size and values.min() >= 0 else -1
-        if top < 0 or top >= max(len(self.texts), 2 * values.size):
-            return np.array(list(map(int.__repr__, values.tolist())), dtype=object)
-        if top >= len(self.texts):
-            # past 999: the text of the thousands, then the last three digits
-            thousands = np.array(list(map(int.__repr__, range(top // 1000 + 1))), dtype=object)
-            digits = np.array([f"{i:03d}" for i in range(1000)], dtype=object)
-            self.texts = np.add.outer(thousands, digits).ravel()[: top + 1]
-            self.texts[:1000] = list(map(int.__repr__, range(min(top + 1, 1000))))
-        return self.texts[values]
-
-
-def _rows(
-    block: RowBlock, pieces: list, end: str, sep: str, text: Callable, ints: _IntTexts
-) -> Iterator[str]:
+def _rows(block: RowBlock, pieces: list, end: str, sep: str, text: Callable) -> Iterator[str]:
     """The rows of ``block``, ``sep`` between them, in chunks of ``_CHUNK_ROWS``
     rows.  A row is ``piece`` and the text of column k for each ``(k, piece)``
     of ``pieces``, then ``end``.  Each column that ``block.coding()`` marks
     as coded is rendered once per code, at the representative rows, and
     each run of them is one segment per code, with the pieces and the row
-    end inside.  Every other column has one text per row: ints from
-    ``ints``, the rest from ``text``, which maps a list of values to their
-    texts.  A chunk is one join over the segments' texts of its rows."""
+    end inside.  Every other column has one text per row, from ``text``,
+    which maps a list of values to their texts.  A chunk is one join over
+    the segments' texts of its rows."""
     codes, reps, coded = block.coding()
     n_rows = codes.size
     segments: list[tuple[np.ndarray, np.ndarray | None]] = []
@@ -285,9 +259,8 @@ def _rows(
             values = text(column[reps].tolist())
             texts = [row + piece + value for row, value in zip(texts, values)]
             continue
-        per_row = ints.of(column) if column.dtype.kind in "iu" else text(column.tolist())
         segments.append((np.array([row + piece for row in texts], dtype=object), codes))
-        segments.append((np.asarray(per_row, dtype=object), None))
+        segments.append((np.array(text(column.tolist()), dtype=object), None))
         texts = [""] * reps.size
     segments.append((np.array([row + end + sep for row in texts], dtype=object), codes))
     for start in range(0, n_rows, _CHUNK_ROWS):
@@ -300,37 +273,37 @@ def _rows(
         yield "".join(cells.ravel().tolist())
 
 
-def _csv(block: RowBlock, end: str) -> Iterator[str]:
-    """The text a ``csv.writer`` with line terminator ``end`` writes for
+def _csv(block: RowBlock) -> Iterator[str]:
+    """The text a ``csv.writer`` with line terminator ``\\n`` writes for
     the fields of ``block`` and then its rows, in pieces."""
     import csv
     import io
 
     header = io.StringIO()
-    csv.writer(header, lineterminator=end).writerow(block.fields)
+    csv.writer(header, lineterminator="\n").writerow(block.fields)
     yield header.getvalue()
     pieces = [(k, "," if k else "") for k in range(len(block.fields))]
-    yield from _rows(block, pieces, end, "", lambda values: list(map(str, values)), _IntTexts())
+    yield from _rows(block, pieces, "\n", "", lambda values: list(map(str, values)))
 
 
-def _json(obj, indent: str, ints: _IntTexts) -> Iterator[str]:
+def _json(obj, indent: str) -> Iterator[str]:
     """The text ``json.dumps(obj, indent=2, sort_keys=True)`` writes for
     ``obj`` on a line indented by ``indent``, in pieces: dict keys as
     ``str(k)``, numpy scalars as Python ones, NaN and inf as ``null``.  A
-    list of scalars or a 1-dimensional int array is one piece, and a
-    ``RowBlock`` (as its row dicts) one piece per chunk of rows."""
-    if isinstance(obj, np.ndarray) and not (obj.ndim == 1 and obj.dtype.kind in "iu"):
+    list of scalars is one piece, and a ``RowBlock`` (as its row dicts) one
+    piece per chunk of rows."""
+    if isinstance(obj, np.ndarray):
         obj = obj.tolist()
     inner = indent + "  "
     if isinstance(obj, dict):
         items = {str(k): v for k, v in obj.items()}
         for n, key in enumerate(sorted(items)):
             yield f"{',' if n else '{'}\n{inner}{json.dumps(key)}: "
-            yield from _json(items[key], inner, ints)
+            yield from _json(items[key], inner)
         yield f"\n{indent}}}" if items else "{}"
-    elif not isinstance(obj, (list, tuple, RowBlock, np.ndarray)):
+    elif not isinstance(obj, (list, tuple, RowBlock)):
         yield _json_values([obj])[0]
-    elif isinstance(obj, (RowBlock, np.ndarray)) or not any(
+    elif isinstance(obj, RowBlock) or not any(
         issubclass(kind, _CONTAINERS) for kind in set(map(type, obj))
     ):
         if isinstance(obj, RowBlock):
@@ -338,21 +311,20 @@ def _json(obj, indent: str, ints: _IntTexts) -> Iterator[str]:
                 (k, f"{',' if j else '{'}\n{inner}  {json.dumps(obj.fields[k])}: ")
                 for j, k in enumerate(sorted(range(len(obj.fields)), key=obj.fields.__getitem__))
             ]
-            chunks = _rows(obj, keys, f"\n{inner}}}", f",\n{inner}", _json_values, ints)
+            chunks = _rows(obj, keys, f"\n{inner}}}", f",\n{inner}", _json_values)
         else:
-            texts = ints.of(obj).tolist() if isinstance(obj, np.ndarray) else _json_values(obj)
-            chunks = iter([f",\n{inner}".join(texts)])
+            chunks = iter([f",\n{inner}".join(_json_values(obj))])
         first = next(chunks, "")
         yield from chain([f"[\n{inner}", first], chunks, [f"\n{indent}]"]) if first else ["[]"]
     else:
         for n, value in enumerate(obj):
             yield f"{',' if n else '['}\n{inner}"
-            yield from _json(value, inner, ints)
+            yield from _json(value, inner)
         yield f"\n{indent}]"
 
 
 def _dump(envelope: dict, output: str | None) -> None:
-    _emit(chain(_json(envelope, "", _IntTexts()), ["\n"]), output)
+    _emit(chain(_json(envelope, ""), ["\n"]), output)
 
 
 def load_schema() -> dict:
@@ -387,7 +359,7 @@ def _histogram(values: np.ndarray, capacity: int, width: int) -> list[int]:
 def _cmd_split(args: argparse.Namespace) -> None:
     _, result = _load_and_split(args.input, args)
     if args.fmt == "csv":
-        _emit(_csv(result.to_dict()["rows"], "\n"), args.output)
+        _emit(_csv(result.to_dict()["rows"]), args.output)
         return
     _dump(_envelope(args, result.to_dict()), args.output)
 
@@ -440,7 +412,7 @@ def _cmd_truescore(args: argparse.Namespace) -> None:
         )
     table = estimate_true_scores(x, stats, r, args.reliability_kind)
     if args.fmt == "csv":
-        _emit(_csv(table.row_block(), "\r\n"), args.output)
+        _emit(_csv(table.row_block()), args.output)
         return
     comparison = compare_estimators(x, stats, report.r_tt, report.r_gh)
     percentile = None

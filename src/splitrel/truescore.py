@@ -11,9 +11,10 @@ per-row diagnostic instead of replacing the interval.
 Estimates are never rounded or truncated: an extreme observed score can
 put the estimate outside [0, n], and such rows are flagged, not edited.
 
-Examinees are identified by their 0-based row positions.  A table's
-columns are exactly its fields that hold numpy arrays, one value per
-examinee in field order; they name the CSV header and the JSON row keys.
+Row i of a table is examinee i, the 0-based row of the score matrix, so
+no column repeats the position.  A table's columns are exactly its
+fields that hold numpy arrays, one value per examinee in field order;
+they name the CSV header and the JSON row keys.
 Every column is one whole-array expression, with the same IEEE
 operations per value as the row formulas in the docstrings.
 """
@@ -42,8 +43,8 @@ _KINDS = ("classical", "split_half")
 class _ColumnTable:
     """A per-examinee table: its numpy-array fields, in field order, are its
     columns, and its other fields are scalars of the whole table.  The
-    observed scores code the rows: in a computed table every column but
-    the ids is a function of them."""
+    observed scores code the rows: in a computed table every column is a
+    function of them."""
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "observed", _totals(self.observed, "observed scores"))
@@ -75,10 +76,9 @@ def _observed(x: ExamineeScores, stats: TestStats) -> np.ndarray:
 class TrueScoreTable(_ColumnTable):
     """Estimates for one administration under one reliability figure.
 
-    The first seven fields are the columns, one value per examinee.
+    The first six fields are the columns, one value per examinee.
     """
 
-    examinee_id: np.ndarray
     observed: np.ndarray
     estimate: np.ndarray
     low: np.ndarray
@@ -98,23 +98,6 @@ class TrueScoreTable(_ColumnTable):
         if self.reliability_kind not in _KINDS:
             raise RangeError(f"unknown reliability kind {self.reliability_kind!r}")
         super().__post_init__()
-
-    def _bins(self) -> dict[str, np.ndarray]:
-        keys = np.floor(self.estimate)
-        order = np.argsort(keys, kind="stable")
-        bin_keys, starts = np.unique(keys[order], return_index=True)
-        ids = np.split(self.examinee_id[order], starts[1:])
-        return {str(int(k)): v for k, v in zip(bin_keys.tolist(), ids)}
-
-    def bin_lookup(self) -> dict[int, list]:
-        """Which examinees land in each unit-width estimate bin [k, k+1).
-
-        Bins are in ascending order of k and ids in row order within a bin.
-        """
-        return {int(k): ids.tolist() for k, ids in self._bins().items()}
-
-    def to_dict(self) -> dict:
-        return {**super().to_dict(), "bins": self._bins()}
 
 
 def estimate_true_scores(
@@ -150,7 +133,6 @@ def estimate_true_scores(
     if oor:
         warnings.append(f"{oor} estimate(s) fall outside the score range [0, {stats.n}]")
     return TrueScoreTable(
-        examinee_id=np.arange(observed.size),
         observed=observed,
         estimate=estimate,
         low=estimate - s_e,
@@ -174,11 +156,10 @@ class EstimatorComparison(_ColumnTable):
 
     The difference collapses to (X - mean) * (r_gh - r_tt), so its sign
     is the sign of (X - mean) whenever r_gh >= r_tt and flips otherwise.
-    Signs are computed in exact integer arithmetic.  The first four
+    Signs are computed in exact integer arithmetic.  The first three
     fields are the columns.
     """
 
-    examinee_id: np.ndarray
     observed: np.ndarray
     difference: np.ndarray
     sign: np.ndarray
@@ -214,7 +195,6 @@ def compare_estimators(
             "comparison directions are reversed"
         )
     return EstimatorComparison(
-        examinee_id=np.arange(n_ex),
         observed=observed,
         difference=(observed - stats.mean) * spread,
         sign=sign,

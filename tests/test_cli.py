@@ -23,6 +23,9 @@ from splitrel.cli import load_schema, main
 
 from conftest import TABLE2_TOTALS, TABLE2_N, column_fill
 
+# the true-score table's columns, in the order of the CSV header
+TABLE_COLUMNS = ("observed", "estimate", "low", "high", "prediction_error", "out_of_range")
+
 
 @pytest.fixture(scope="module")
 def schema():
@@ -128,7 +131,8 @@ def test_truescore_table_and_percentile(schema, matrix_csv):
     assert rep["table"]["reliability_kind"] == "split_half"
     assert len(rep["table"]["rows"]) == 120
     assert 0.0 <= rep["percentile"]["rank"] <= 100.0
-    assert rep["comparison"]["rows"][0].keys() >= {"observed", "difference", "sign"}
+    assert rep["table"]["rows"][0].keys() == set(TABLE_COLUMNS)
+    assert rep["comparison"]["rows"][0].keys() == {"observed", "difference", "sign"}
 
 
 # items 1-2 give every examinee one point and items 3-4 give 0 or 2, so
@@ -175,8 +179,36 @@ def test_truescore_on_an_undefined_split_half_reliability_exits_two(tmp_path):
 def test_truescore_csv_lists_every_examinee(matrix_csv):
     code, out, _ = run_cli("truescore", "--input", matrix_csv, "--format", "csv")
     assert code == 0
-    rows = list(csv.DictReader(io.StringIO(out)))
-    assert len(rows) == 120
+    reader = csv.DictReader(io.StringIO(out))
+    assert tuple(reader.fieldnames) == TABLE_COLUMNS
+    assert len(list(reader)) == 120
+    assert "\r" not in out
+
+
+def test_truescore_rows_are_numbered_by_position(tmp_path):
+    # three chunks of rows; row i of each table and CSV data line i is
+    # examinee i, and no column or list repeats the position
+    path = str(tmp_path / "m.csv")
+    assert main(["simulate", "--model", "D3", "--N", "12000", "--n", "41",
+                 "--seed", "34", "--output", path]) == 0
+    m = splitrel.load_score_matrix(path)
+    scores = splitrel.sub_test_scores(m, splitrel.split(m).assignment).combined().tolist()
+
+    code, out, err = run_cli("truescore", "--input", path)
+    assert code == 0, err
+    report = json.loads(out)["report"]
+    assert "bins" not in report["table"]
+    for name in ("table", "comparison"):
+        rows = report[name]["rows"]
+        assert not any("examinee_id" in row for row in rows)
+        assert [row["observed"] for row in rows] == scores
+
+    code, out, err = run_cli("truescore", "--input", path, "--format", "csv")
+    assert code == 0, err
+    header, *lines = out.split("\n")
+    assert header.split(",") == list(TABLE_COLUMNS)
+    assert lines.pop() == ""
+    assert [int(line.split(",")[0]) for line in lines] == scores
 
 
 def test_truescore_csv_streams_in_chunks_of_rows(tmp_path, monkeypatch):

@@ -33,9 +33,9 @@ GOLDEN = {
     "reliability.json": (("reliability", "--input", "m.csv", "--bin-width", "3"),
                          "109e56eaddaf3956994b047a361edcdf45dea6dd02ccaaca47f3b2d547bbed9d"),
     "truescore.json": (("truescore", "--input", "m.csv", "--percentile-of", "12"),
-                       "ac80098d68d3e2cde659ee2bf3d1aa860f68a996ac97efe2e4fe67054d8d8733"),
+                       "dea8d0408b373b2fe82c3124aa64090cce7e5c429f1354cefdf3e4eb75046502"),
     "truescore.csv": (("truescore", "--input", "m.csv", "--format", "csv"),
-                      "2610b53db798096f914d130d5f64c12cac593e62dd062e5c15a7a7479f4ac1ce"),
+                      "84a71a8fd6afdf407d86b0238fb0a034b3033a5f1c6d4be1b322411d3e89e7e8"),
     "battery-optimal.json": (BATTERY + ("optimal",),
                              "efd70c4241bbc432724f93b877e4ffa5051cdd0ef4e6170ea5d0de26036e415c"),
     "battery-nonneg.json": (BATTERY + ("nonneg",),
@@ -54,7 +54,7 @@ GOLDEN = {
     "reliability-null.json": (("reliability", "--input", "c.csv"),
                               "14fbb22f54d377a6c62d4d5b4606448b3ec12090ad7fcc270ede0394f34b5dc0"),
     "truescore-null.json": (("truescore", "--input", "c.csv"),
-                            "0e090db195200cb01123035b944fc41392c684f09c6fa57ca913c77859d7f6db"),
+                            "77933843408cec3f30c9c43daca50ba1586fde42d0d3663d64a59e52dbaad1f2"),
 }
 
 

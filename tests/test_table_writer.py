@@ -3,12 +3,12 @@
 ``TrueScoreTable`` and ``EstimatorComparison`` hold columns, and their
 ``rows`` blocks carry the observed scores as row codes.  ``cli._dump``
 renders each column that ``RowBlock.coding()`` finds to be a function of
-the codes once per code, and every other column once per row; the ids,
-in the rows of both tables and in the ``bins`` id arrays, come from one
-rendering of 0, 1, 2, ... per dump.  ``cli._csv`` writes a table's
-``row_block()`` through the same renderer, with commas between cells and
-``\r\n`` after each row.  The tests build random tables, and tables of
-several chunks from seeded scores, and require the exact bytes that
+the codes once per code, and every other column once per row; row i of
+each table is examinee i, and no column holds the position.
+``cli._csv`` writes a table's ``row_block()`` through the same renderer,
+with commas between cells and ``\n`` after each row.  The tests build
+random tables, and tables of several chunks from seeded scores, and
+require the exact bytes that
 ``json.dumps(..., indent=2, sort_keys=True)`` writes for the same report
 built from row dicts over the column names spelt out below, and the
 bytes of a ``csv.writer`` loop over the same rows for the CSV table.
@@ -45,10 +45,8 @@ FINITE = st.floats(-1e6, 1e6) | st.sampled_from([-0.0, 0.0, 1e-300, 0.1, 2.5e15]
 ANY_FLOAT = FINITE | st.sampled_from([math.nan, math.inf, -math.inf])
 
 # the columns, in the order of the CSV header
-TABLE_COLUMNS = (
-    "examinee_id", "observed", "estimate", "low", "high", "prediction_error", "out_of_range",
-)
-COMPARISON_COLUMNS = ("examinee_id", "observed", "difference", "sign")
+TABLE_COLUMNS = ("observed", "estimate", "low", "high", "prediction_error", "out_of_range")
+COMPARISON_COLUMNS = ("observed", "difference", "sign")
 
 
 def reference_rows(table, columns):
@@ -65,12 +63,9 @@ def tables(draw):
     def column(values):
         return draw(st.lists(values, min_size=n_rows, max_size=n_rows))
 
-    # examinee ids are the 0-based row positions
-    ids = np.arange(n_rows)
     # a low top score repeats scores, so that the rows share codes
     observed = np.array(column(st.integers(0, draw(st.sampled_from([3, 60])))), dtype=np.int64)
     table = TrueScoreTable(
-        examinee_id=ids,
         observed=observed,
         estimate=np.array(column(FINITE)),
         low=np.array(column(ANY_FLOAT)),
@@ -92,7 +87,6 @@ def tables(draw):
     spread = r_gh - r_tt
     mean = float(observed.mean())
     comparison = EstimatorComparison(
-        examinee_id=ids,
         observed=observed,
         difference=np.array([(x - mean) * spread for x in observed.tolist()]),
         sign=np.array(column(st.sampled_from([-1, 0, 1])), dtype=np.int64),
@@ -103,19 +97,11 @@ def tables(draw):
     return table, comparison
 
 
-def reference_bins(table):
-    bins = {}
-    for row in reference_rows(table, TABLE_COLUMNS):
-        bins.setdefault(math.floor(row["estimate"]), []).append(row["examinee_id"])
-    return {str(k): ids for k, ids in sorted(bins.items())}
-
-
 def reference_report(table, comparison, percentile=None):
     """The report the CLI writes for the two tables, as ``json.dumps`` writes
-    it from row dicts and id lists."""
+    it from row dicts."""
     reference_table = dict(table.to_dict())
     reference_table["rows"] = reference_rows(table, TABLE_COLUMNS)
-    reference_table["bins"] = reference_bins(table)
     reference_comparison = dict(comparison.to_dict())
     reference_comparison["rows"] = reference_rows(comparison, COMPARISON_COLUMNS)
     reference = {
@@ -143,7 +129,7 @@ def dumped_report(table, comparison, percentile=None):
 
 def reference_csv(table):
     buf = io.StringIO()
-    writer = csv.writer(buf)
+    writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(TABLE_COLUMNS)
     for row in reference_rows(table, TABLE_COLUMNS):
         writer.writerow(row.values())
@@ -167,41 +153,14 @@ CHUNK = 4096
 @given(tables(), st.none() | FINITE)
 def test_writers_produce_the_bytes_of_the_row_references(pair, percentile):
     table, comparison = pair
-    body = {
-        "table": table.to_dict(),
-        "comparison": comparison.to_dict(),
-        "percentile": percentile,
-    }
-    reference_table = dict(body["table"])
-    reference_table["rows"] = reference_rows(table, TABLE_COLUMNS)
-    reference_table["bins"] = reference_bins(table)
-    reference_comparison = dict(body["comparison"])
-    reference_comparison["rows"] = reference_rows(comparison, COMPARISON_COLUMNS)
-    reference = {
-        "report": {
-            "table": reference_table,
-            "comparison": reference_comparison,
-            "percentile": percentile,
-        },
-        "tool": "splitrel",
-    }
-    expected = json.dumps(_json_safe(reference), indent=2, sort_keys=True) + "\n"
-    out = io.StringIO()
-    with redirect_stdout(out):
-        _dump({"report": body, "tool": "splitrel"}, None)
-    assert out.getvalue() == expected
-
-    buf = io.StringIO()
-    writer = csv.writer(buf)
-    writer.writerow(TABLE_COLUMNS)
-    for row in reference_rows(table, TABLE_COLUMNS):
-        writer.writerow(row.values())
-    assert "".join(_csv(table.row_block(), "\r\n")) == buf.getvalue()
+    assert dumped_report(table, comparison, percentile) == reference_report(
+        table, comparison, percentile
+    )
+    assert "".join(_csv(table.row_block())) == reference_csv(table)
 
 
 def test_row_block_lists_the_row_dicts():
     table = TrueScoreTable(
-        examinee_id=np.arange(2),
         observed=np.array([3, 5]),
         estimate=np.array([3.5, 4.5]),
         low=np.array([3.0, 4.0]),
@@ -215,30 +174,28 @@ def test_row_block_lists_the_row_dicts():
     d = table.to_dict()
     rows = d["rows"].tolist()
     assert rows == reference_rows(table, TABLE_COLUMNS)
-    assert d["bins"] == {"3": [0], "4": [1]}
-    assert type(rows[1]["examinee_id"]) is int
     assert type(rows[1]["out_of_range"]) is bool
     assert type(rows[1]["observed"]) is int
 
 
 def test_a_truescore_report_of_several_chunks_has_the_reference_bytes():
-    # ids past 999, rows in four chunks, and 41 distinct rows besides the ids
+    # rows in four chunks, and 41 distinct rows
     table, comparison = tables_from_scores(3 * CHUNK + 1, 40, seed=30)
     assert dumped_report(table, comparison, 41.5) == reference_report(table, comparison, 41.5)
-    assert "".join(_csv(table.row_block(), "\r\n")) == reference_csv(table)
+    assert "".join(_csv(table.row_block())) == reference_csv(table)
 
 
-def test_every_column_of_a_table_but_the_ids_is_coded_by_the_observed_scores():
-    # so the writers render the rest of each row once per observed score
+def test_every_column_of_a_table_is_coded_by_the_observed_scores():
+    # so the writers render each row once per observed score
     for n_rows in (40, 3 * CHUNK + 1):
         table, comparison = tables_from_scores(n_rows, 30, seed=n_rows)
         for t, columns in ((table, TABLE_COLUMNS), (comparison, COMPARISON_COLUMNS)):
             coded = t.to_dict()["rows"].coding()[2]
-            assert coded == (False,) + (True,) * (len(columns) - 1)
+            assert coded == (True,) * len(columns)
 
 
 def test_consecutive_dumps_of_different_sizes_each_have_the_reference_bytes():
-    # the id texts one dump renders are not carried into the next
+    # nothing one dump renders is carried into the next
     for n_rows in (2 * CHUNK + 5, 1500, 3 * CHUNK + 1, 40):
         table, comparison = tables_from_scores(n_rows, 30, seed=n_rows)
         assert dumped_report(table, comparison) == reference_report(table, comparison)

@@ -103,33 +103,23 @@ def test_zero_variance_rejected():
 def test_ids_default_and_mismatch():
     x = [2, 4, 6]
     st = make_stats(x, 8)
+    # row i of each table is examinee i
     table = estimate_true_scores(ExamineeScores(x), st, 0.5, "classical")
-    assert table.examinee_id.tolist() == [0, 1, 2]
+    assert [row["observed"] for row in rows(table)] == x
     comparison = compare_estimators(ExamineeScores(x), st, 0.5, 0.6)
-    assert comparison.examinee_id.tolist() == [0, 1, 2]
+    assert [row["observed"] for row in rows(comparison)] == x
     with pytest.raises(ShapeError, match="stats describe 3 examinees but scores have 2"):
         estimate_true_scores(ExamineeScores([2, 4]), st, 0.5, "classical")
-
-
-def test_bin_lookup_uses_unit_floor_bins():
-    x = [10, 14, 6, 10]
-    st = make_stats(x, 20)
-    table = estimate_true_scores(ExamineeScores(x), st, 0.75, "classical")
-    bins = table.bin_lookup()
-    # estimates 10.0, 13.0, 7.0, 10.0
-    assert bins == {7: [2], 10: [0, 3], 13: [1]}
-    d = table.to_dict()
-    assert {k: v.tolist() for k, v in d["bins"].items()} == {"7": [2], "10": [0, 3], "13": [1]}
 
 
 def test_to_csv_round_trips():
     x = [3, 9, 6, 6]
     st = make_stats(x, 12)
     table = estimate_true_scores(ExamineeScores(x), st, 0.5, "classical")
-    text = "".join(_csv(table.row_block(), "\r\n"))
+    text = "".join(_csv(table.row_block()))
     lines = list(csv.DictReader(io.StringIO(text)))
-    assert len(lines) == 4
-    assert [line["examinee_id"] for line in lines] == ["0", "1", "2", "3"]
+    # line i is examinee i
+    assert [int(line["observed"]) for line in lines] == x
     assert float(lines[1]["estimate"]) == pytest.approx(table.estimate[1])
 
 
@@ -142,7 +132,6 @@ def test_a_table_takes_only_nonnegative_integer_observed_scores(observed, error)
     zeros = np.zeros(n_rows)
     with pytest.raises(error, match="observed scores must be"):
         TrueScoreTable(
-            examinee_id=np.arange(n_rows),
             observed=np.array(observed),
             estimate=zeros, low=zeros, high=zeros, prediction_error=zeros,
             out_of_range=zeros.astype(bool),
@@ -238,10 +227,6 @@ def test_columns_equal_the_row_formulas_exactly(r_tt, r_gh):
         _sign(len(scores) * score - total) * _sign(spread) for score in scores
     ]
 
-    bins = {}
-    for ident, est in enumerate(estimate):
-        bins.setdefault(math.floor(est), []).append(ident)
-    assert table.bin_lookup() == dict(sorted(bins.items()))
     for t in (estimate[0], st.mean, -1.0, 51.0):
         count = sum(1 for est in estimate if est <= t)
         assert percentile_rank(table, t) == 100.0 * count / len(scores)
